@@ -27,10 +27,8 @@ from .equivlayers import (
     down_tensor,
     layer_space,
     lift_tensor,
-    monomial_factor_layer,
     monomial_factors_layer,
     random_layer,
-    summation,
     zero_layer,
 )
 from .net import (
@@ -43,14 +41,12 @@ from .net import (
     build_term_network,
     build_unified,
     grad_check,
-    mlp_forward,
     mlp_init,
     mlp_train,
     train_product_mlp,
 )
 from .orbits import (
     OrbitPartition,
-    TupleIndex,
     equality_pattern_partition,
     layer_classes,
     orbit_count_squared,
@@ -64,8 +60,6 @@ from .permgroup import (
     cyclic,
     dihedral,
     grid,
-    is_even,
-    is_subgroup,
     named_group,
     symmetric,
     trivial,
@@ -76,7 +70,6 @@ from .polybasis import (
     basis_polynomials,
     check_fixed_point,
     coeff_tensor,
-    evaluate,
     expand_in_basis,
     homogeneous_decompose,
     indicator_tensor,

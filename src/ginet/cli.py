@@ -1,7 +1,8 @@
 """Command-line front end: file parsing, verifier dispatch, JSON reports.
 
 Exit codes: 0 success, 1 a verified property failed (CI can consume the
-verifiers directly), 2 usage or parse errors.
+verifiers directly), 2 usage or parse errors, 3 a resource limit was
+exceeded (tuple cap, group-size cap, or memory).
 
 Reports are byte-stable for a fixed seed: the ``timings`` section holds
 deterministic work counters, and wall-clock time goes to stderr only.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -18,7 +20,8 @@ from typing import Sequence
 
 from . import analysis, net, orbits, polybasis
 from .equivlayers import layer_space
-from .permgroup import DEFAULT_GROUP_CAP, PermGroup, Permutation, named_group
+from .permgroup import (DEFAULT_GROUP_CAP, GroupTooLargeError, PermGroup, Permutation,
+                        named_group)
 
 VERSION = "0.1.0"
 
@@ -185,14 +188,15 @@ def _cmd_orbits(args) -> int:
     P = (orbits.poly_classes if kind == "poly" else orbits.layer_classes)(
         G, args.k, cap=cap)
     lines = [f"group order: {G.order}", f"num_classes: {P.num_classes}"]
-    csv_lines = ["code,class_id"] + [f"{c},{int(P.class_id[c])}"
-                                     for c in range(G.n**args.k)]
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
-    if args.format == "csv":
-        print("\n".join(csv_lines))
-        lines = []
+    if args.dump or args.format == "csv":
+        csv_lines = ["code,class_id"] + [f"{c},{int(P.class_id[c])}"
+                                         for c in range(G.n**args.k)]
+        if args.dump:
+            with open(args.dump, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(csv_lines) + "\n")
+        if args.format == "csv":
+            print("\n".join(csv_lines))
+            lines = []
     results = {"n": G.n, "k": args.k, "kind": kind,
                "group_order": G.order, "num_classes": P.num_classes,
                "class_sizes": P.sizes().tolist()}
@@ -269,7 +273,7 @@ def _cmd_closure(args) -> int:
              f"orbit_count_squared: {rep.orbit_count_squared}",
              f"is_two_closed: {str(rep.is_two_closed).lower()}"]
     _emit(args, _config_dict(args, ["group", "seed"]), results,
-          {"permutations_scanned": _factorial(G.n)}, lines)
+          {"permutations_scanned": math.factorial(G.n)}, lines)
     return 0
 
 
@@ -324,13 +328,6 @@ def _cmd_verify_necessary(args) -> int:
            "two_closed_cross_check": rep.two_closed_cross_check},
           {"supergroups_checked": len(rep.rows)}, lines)
     return 0
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # -------------------------------------------------------------------- main
@@ -434,6 +431,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 1
+    except (orbits.CapExceededError, GroupTooLargeError, MemoryError) as exc:
+        print(f"resource limit exceeded: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

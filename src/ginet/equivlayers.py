@@ -156,35 +156,15 @@ def random_layer(space: LayerSpace, rng: SplitMix64, scale: float = 1.0,
     return EquivariantLayer(space, linear, bias)
 
 
-def monomial_factor_layer(G: PermGroup, partition: OrbitPartition, class_index: int,
-                          position: int, cap: int | None = None) -> EquivariantLayer:
-    """Order-1 to order-k layer copying one monomial factor onto a class.
-
-    Output at tuple t is x[t_position] when t lies in the given
-    polynomial class and 0 elsewhere; position is 1-based over the k
-    tuple slots.  Equivariance holds because membership in the class and
-    the digit at a fixed slot are both carried along by the group action.
-    """
-    k = partition.k
-    if not 1 <= position <= k:
-        raise ValueError(f"position {position} out of range 1..{k}")
-    space = layer_space(G, 1, k, 1, 1, cap=cap)
-    C = space.linear_partition.num_classes
-    coeffs = np.zeros((C, 1, 1))
-    for c, rep in enumerate(space.linear_partition.representatives):
-        out_tuple, in_digit = rep[:k], rep[k]
-        if partition.class_of(out_tuple) == class_index and in_digit == out_tuple[position - 1]:
-            coeffs[c, 0, 0] = 1.0
-    Cb = space.bias_partition.num_classes
-    return EquivariantLayer(space, coeffs, np.zeros((Cb, 1)))
-
-
 def monomial_factors_layer(G: PermGroup, partition: OrbitPartition, class_index: int,
                            cap: int | None = None) -> EquivariantLayer:
     """Order-1 to order-k layer with k channels, one per monomial factor.
 
-    Channel m carries the factor layer for position m+1, so at a class
-    tuple the feature vector holds exactly the factors of its monomial.
+    Channel m outputs x[t_(m+1)] at each tuple t of the given polynomial
+    class and 0 elsewhere, so at a class tuple the feature vector holds
+    exactly the factors of its monomial.  Equivariance holds because
+    membership in the class and the digit at a fixed slot are both
+    carried along by the group action.
     """
     k = partition.k
     space = layer_space(G, 1, k, 1, k, cap=cap)
@@ -199,11 +179,6 @@ def monomial_factors_layer(G: PermGroup, partition: OrbitPartition, class_index:
                 coeffs[c, 0, pos] = 1.0
     Cb = space.bias_partition.num_classes
     return EquivariantLayer(space, coeffs, np.zeros((Cb, k)))
-
-
-def summation(Z: np.ndarray) -> float:
-    """Sum of all entries; invariant for every subgroup of S_n."""
-    return float(np.sum(Z))
 
 
 def lift_tensor(X: np.ndarray, k: int, d: int, n: int) -> np.ndarray:

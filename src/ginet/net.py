@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .equivlayers import EquivariantLayer, monomial_factors_layer
+from .equivlayers import EquivariantLayer, layer_space, monomial_factors_layer, zero_layer
 from .orbits import OrbitPartition, poly_classes
 from .permgroup import PermGroup
 from .polybasis import Polynomial, expand_in_basis
@@ -132,10 +132,6 @@ def mlp_init(widths: Sequence[int], activation: str, rng: SplitMix64,
         weights.append(W)
         biases.append(np.zeros(fan_out))
     return MLP(weights, biases, activation)
-
-
-def mlp_forward(m: MLP, y: np.ndarray) -> np.ndarray:
-    return m.forward(y)
 
 
 def _forward_cached(m: MLP, X: np.ndarray):
@@ -755,13 +751,9 @@ def build_unified(terms: Sequence[tuple[float, GInvariantNetwork]],
 
 def constant_network(G: PermGroup, value: float) -> GInvariantNetwork:
     """Bias-only network: zero linear head on the invariant sum."""
-    n = G.n
-    zero_space_layer = monomial_factors_layer(G, poly_classes(G, 1), 0)
-    zeroed = EquivariantLayer(zero_space_layer.space,
-                              np.zeros_like(zero_space_layer.linear_coeffs),
-                              np.zeros_like(zero_space_layer.bias_coeffs))
     head = MLP([np.zeros((1, 1))], [np.array([value])], "sigmoid")
-    stages = [EquivStage(zeroed), SumStage(np.ones(1)), MLPStage(head)]
+    stages = [EquivStage(zero_layer(layer_space(G, 1, 1))), SumStage(np.ones(1)),
+              MLPStage(head)]
     return GInvariantNetwork(G, stages, order=1)
 
 
@@ -831,12 +823,13 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
                 f"degree-{k}").next_u64() & 0x7FFFFFFF)
             gadgets[k] = train_product_mlp(k, c, target, sub)
 
+    partitions = {k: poly_classes(G, k) for k in degrees}
     term_nets = []
     term_rows = []
     for (k, ci), alpha in sorted(coeffs.items()):
         if k == 0:
             continue
-        partition = poly_classes(G, k)
+        partition = partitions[k]
         net = build_term_network(G, partition, ci, gadgets[k])
         term_nets.append((alpha, net))
         err = gadgets[k].max_error

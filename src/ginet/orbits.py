@@ -61,22 +61,6 @@ def decode(code: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@dataclass(frozen=True)
-class TupleIndex:
-    k: int
-    digits: tuple[int, ...]
-    code: int
-
-    @classmethod
-    def from_digits(cls, digits: Sequence[int], n: int) -> "TupleIndex":
-        digits = tuple(int(d) for d in digits)
-        return cls(len(digits), digits, encode(digits, n))
-
-    @classmethod
-    def from_code(cls, code: int, n: int, k: int) -> "TupleIndex":
-        return cls(k, decode(code, n, k), code)
-
-
 class UnionFind:
     """Disjoint sets over 0..n-1; path halving, union by size."""
 
@@ -115,10 +99,8 @@ class OrbitPartition:
     representatives: tuple[tuple[int, ...], ...]
 
     def class_of(self, t) -> int:
-        """Class id of a tuple given as TupleIndex, digit sequence, or code."""
-        if isinstance(t, TupleIndex):
-            code = t.code
-        elif isinstance(t, (int, np.integer)):
+        """Class id of a tuple given as a digit sequence or a code."""
+        if isinstance(t, (int, np.integer)):
             code = int(t)
         else:
             code = encode(t, self.n)
@@ -246,10 +228,6 @@ def equality_pattern_partition(n: int, k: int, cap: int | None = None) -> OrbitP
     class_id.flags.writeable = False
     return OrbitPartition(n=n, k=k, kind=EQUALITY, class_id=class_id,
                           num_classes=len(reps), representatives=tuple(reps))
-
-
-def class_of(partition: OrbitPartition, t) -> int:
-    return partition.class_of(t)
 
 
 def orbit_count_squared(G: PermGroup) -> int:

@@ -178,10 +178,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p.images[q.images[i]] for i in range(p.n)))
 
 
-def is_even(g: Permutation) -> bool:
-    return g.is_even()
-
-
 class PermGroup:
     """A finitely generated subgroup of S_n, fully materialized.
 
@@ -257,11 +253,6 @@ class PermGroup:
         if self.n != other.n:
             raise ValueError("groups act on different point counts")
         return all(g in other for g in self.elements)
-
-
-def is_subgroup(G: PermGroup, H: PermGroup) -> bool:
-    """True iff every element of G lies in H."""
-    return G.is_subgroup_of(H)
 
 
 def trivial(n: int, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:

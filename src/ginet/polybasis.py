@@ -9,6 +9,12 @@ polynomial classes of the index space.  Summing the monomials of one
 class therefore gives a basis element, and every invariant expands over
 these with coefficients read off its representative monomials.
 
+Invariance itself is decided exactly: p is G-invariant iff every
+generator of G fixes it, so the check compares p.permute(g) with p for
+each generator and never enumerates the group or samples points.  The
+Reynolds average over all of G stays as the reference those checks are
+tested against.
+
 Polynomials are stored sparsely, keyed by exponent vector; coefficient
 tensors are dense numpy arrays (desk-scale n^k).
 """
@@ -24,10 +30,8 @@ import numpy as np
 
 from .orbits import OrbitPartition, decode, poly_classes
 from .permgroup import PermGroup, Permutation
-from .rng import SplitMix64
 
 INVARIANCE_TOL = 1e-9
-INVARIANCE_POINTS = 100
 
 # Full expansion of the pairwise-difference product has n! terms; past
 # n=6 callers should evaluate it instead.
@@ -38,10 +42,6 @@ Monomial = tuple[int, ...]  # exponent vector of length n
 
 class NotInvariantError(ValueError):
     """The polynomial failed the group-invariance validation."""
-
-
-def monomial_degree(exponents: Monomial) -> int:
-    return sum(exponents)
 
 
 class Polynomial:
@@ -173,16 +173,11 @@ class CoeffTensor:
     n: int
     k: int
     values: np.ndarray  # shape (n,)*k
-    symmetric: bool
 
     def __post_init__(self):
         expected = (self.n,) * self.k
         if self.values.shape != expected:
             raise ValueError(f"tensor shape {self.values.shape} != {expected}")
-
-
-def evaluate(p: Polynomial, x: Sequence[float]) -> float:
-    return p.evaluate(x)
 
 
 def homogeneous_decompose(p: Polynomial) -> dict[int, Polynomial]:
@@ -211,7 +206,7 @@ def coeff_tensor(p_k: Polynomial, k: int | None = None) -> CoeffTensor:
         share = coeff / len(orderings)
         for t in orderings:
             values[t] += share
-    return CoeffTensor(n=n, k=k, values=values, symmetric=True)
+    return CoeffTensor(n=n, k=k, values=values)
 
 
 def polynomial_from_tensor(W: CoeffTensor) -> Polynomial:
@@ -288,7 +283,7 @@ def indicator_tensor(partition: OrbitPartition, class_index: int) -> CoeffTensor
         raise ValueError("indicator tensors are defined for polynomial classes")
     flat = (partition.class_id == class_index).astype(np.float64)
     values = flat.reshape((partition.n,) * partition.k)
-    return CoeffTensor(n=partition.n, k=partition.k, values=values, symmetric=True)
+    return CoeffTensor(n=partition.n, k=partition.k, values=values)
 
 
 def reynolds(p: Polynomial, G: PermGroup) -> Polynomial:
@@ -299,18 +294,17 @@ def reynolds(p: Polynomial, G: PermGroup) -> Polynomial:
     return acc.scale(1.0 / G.order)
 
 
-def is_invariant(p: Polynomial, G: PermGroup, tol: float = INVARIANCE_TOL,
-                 points: int = INVARIANCE_POINTS, seed: int = 0) -> bool:
-    """Probabilistic invariance check: compare p with its group average at
-    seeded random points in [-1,1]^n."""
-    q = reynolds(p, G)
-    rng = SplitMix64(seed)
+def is_invariant(p: Polynomial, G: PermGroup, tol: float = INVARIANCE_TOL) -> bool:
+    """Exact invariance check on the generators of G.
+
+    The elements fixing p form a subgroup, so p is G-invariant exactly
+    when every generator fixes it.  Coefficients are compared term by
+    term within tol * max(1, max |coefficient|).
+    """
+    if p.n != G.n:
+        raise ValueError("polynomial and group disagree on n")
     scale = max([abs(c) for c in p.terms.values()], default=1.0)
-    for _ in range(points):
-        x = rng.uniforms(-1.0, 1.0, p.n)
-        if abs(p.evaluate(x) - q.evaluate(x)) > tol * max(1.0, scale):
-            return False
-    return True
+    return all(p.permute(g).allclose(p, tol * max(1.0, scale)) for g in G.generators)
 
 
 def expand_in_basis(p: Polynomial, G: PermGroup,

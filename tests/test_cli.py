@@ -10,7 +10,7 @@ from ginet.cli import (
     write_poly_file,
     ParseError,
 )
-from ginet.permgroup import cyclic, dihedral
+from ginet.permgroup import GroupTooLargeError, cyclic, dihedral
 from ginet.polybasis import Polynomial, vandermonde
 
 
@@ -244,6 +244,24 @@ def test_usage_error_exit2():
     assert main(["orbits"]) == 2
 
 
+def test_tuple_cap_exit3(c4_file, capsys):
+    assert main(["orbits", "--group", c4_file, "--k", "12", "--cap", "100"]) == 3
+    assert "resource limit exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [GroupTooLargeError("group closure exceeds cap"),
+                                 MemoryError()])
+def test_resource_limits_exit3(c4_file, monkeypatch, capsys, exc):
+    import ginet.cli
+
+    def too_large(path, cap=None):
+        raise exc
+
+    monkeypatch.setattr(ginet.cli, "parse_group_file", too_large)
+    assert main(["orbits", "--group", c4_file, "--k", "2"]) == 3
+    assert "resource limit exceeded" in capsys.readouterr().err
+
+
 def test_json_format_stdout(c4_file, capsys):
     assert main(["orbits", "--group", c4_file, "--k", "2",
                  "--format", "json"]) == 0
@@ -272,11 +290,19 @@ def test_approx_gadget_failure_exit1(c4_file, ring_poly_file, capsys):
 
 
 def test_cli_subprocess_entry(c4_file):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import ginet
+    # the child imports the same ginet as this process, installed or not
+    src = str(Path(ginet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ginet.cli", "orbits", "--group", c4_file,
-         "--k", "2"], capture_output=True, text=True)
+         "--k", "2"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "num_classes: 4" in proc.stdout
 

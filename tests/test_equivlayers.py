@@ -9,10 +9,8 @@ from ginet.equivlayers import (
     down_tensor,
     layer_space,
     lift_tensor,
-    monomial_factor_layer,
     monomial_factors_layer,
     random_layer,
-    summation,
     zero_layer,
 )
 from ginet.orbits import CapExceededError, poly_classes
@@ -195,10 +193,9 @@ def test_factor_layer_on_ones_gives_indicator():
     G = cyclic(4)
     P = poly_classes(G, 2)
     for c in range(P.num_classes):
+        out = monomial_factors_layer(G, P, c).apply(np.ones((4, 1)))
         for pos in (1, 2):
-            L = monomial_factor_layer(G, P, c, pos)
-            out = L.apply(np.ones((4, 1)))
-            assert np.array_equal(out[..., 0], indicator_tensor(P, c).values)
+            assert np.array_equal(out[..., pos - 1], indicator_tensor(P, c).values)
 
 
 def test_factor_layer_entries():
@@ -207,9 +204,9 @@ def test_factor_layer_entries():
     rng = SplitMix64(7)
     x = rng.uniforms(1, 2, 4)  # distinct-ish entries
     for c in range(P.num_classes):
+        channels = monomial_factors_layer(G, P, c).apply(x.reshape(4, 1))
         for pos in (1, 2):
-            L = monomial_factor_layer(G, P, c, pos)
-            out = L.apply(x.reshape(4, 1))[..., 0]
+            out = channels[..., pos - 1]
             for t in itertools.product(range(4), repeat=2):
                 expected = x[t[pos - 1]] if P.class_of(t) == c else 0.0
                 assert out[t] == pytest.approx(expected)
@@ -221,28 +218,22 @@ def test_factor_layer_equivariance_exhaustive():
         for k in (1, 2, 3):
             P = poly_classes(G, k)
             for c in range(P.num_classes):
-                for pos in range(1, k + 1):
-                    L = monomial_factor_layer(G, P, c, pos)
-                    check_equivariant(L, rng, trials=2)
-
-
-def test_factor_layer_position_range():
-    P = poly_classes(cyclic(3), 2)
-    with pytest.raises(ValueError):
-        monomial_factor_layer(cyclic(3), P, 0, 3)
+                # equivariance of the k-channel layer is that of every channel
+                check_equivariant(monomial_factors_layer(G, P, c), rng, trials=2)
 
 
 def test_factors_layer_channels_match_single_layers():
+    # channel pos-1 is the class indicator times x broadcast along slot pos
     G = cyclic(4)
     P = poly_classes(G, 2)
     rng = SplitMix64(9)
     x = rng.uniforms(-1, 1, 4, 1)
+    factor = {1: x[:, 0][:, None], 2: x[:, 0][None, :]}
     for c in range(P.num_classes):
-        Lk = monomial_factors_layer(G, P, c)
-        out = Lk.apply(x)
+        out = monomial_factors_layer(G, P, c).apply(x)
+        mask = indicator_tensor(P, c).values
         for pos in (1, 2):
-            single = monomial_factor_layer(G, P, c, pos).apply(x)[..., 0]
-            assert np.allclose(out[..., pos - 1], single)
+            assert np.allclose(out[..., pos - 1], mask * factor[pos])
 
 
 def test_factors_layer_k1_masked_copy():
@@ -269,13 +260,13 @@ def test_factors_layer_digit_lookup():
 # ------------------------------------------------------------ summation / lift / down
 
 def test_summation_values():
-    assert summation(np.ones((3, 3))) == 9.0
+    assert np.sum(np.ones((3, 3))) == 9.0
     rng = SplitMix64(10)
     Z = rng.uniforms(-1, 1, 4, 4)
     for g in symmetric(4):
-        assert summation(g.apply_tensor(Z, k=2)) == pytest.approx(summation(Z))
+        assert np.sum(g.apply_tensor(Z, k=2)) == pytest.approx(np.sum(Z))
     P = poly_classes(cyclic(4), 2)
-    assert summation(indicator_tensor(P, 1).values) == len(P.members(1))
+    assert np.sum(indicator_tensor(P, 1).values) == len(P.members(1))
 
 
 def test_down_of_lift_is_identity():

@@ -15,7 +15,6 @@ from ginet.net import (
     build_unified,
     constant_network,
     grad_check,
-    mlp_forward,
     mlp_init,
     mlp_train,
     train_product_mlp,
@@ -48,7 +47,7 @@ def naive_mlp_eval(m, y):
 
 def test_mlp_zero_weights_constant_bias():
     m = MLP([np.zeros((2, 3))], [np.array([1.5, -2.0])])
-    out = mlp_forward(m, np.array([1.0, 2.0, 3.0]))
+    out = m.forward(np.array([1.0, 2.0, 3.0]))
     assert np.allclose(out, [1.5, -2.0])
 
 
@@ -58,7 +57,7 @@ def test_mlp_single_linear_layer_is_matrix_product():
     b = rng.uniforms(-1, 1, 3)
     m = MLP([W], [b])
     y = rng.uniforms(-1, 1, 4)
-    assert np.allclose(mlp_forward(m, y), W @ y + b)
+    assert np.allclose(m.forward(y), W @ y + b)
 
 
 def test_mlp_forward_matches_naive_evaluator():
@@ -68,7 +67,7 @@ def test_mlp_forward_matches_naive_evaluator():
         act = "sigmoid" if rng.randint(2) else "relu"
         m = mlp_init(widths, act, rng, zero_last=False)
         y = rng.uniforms(-2, 2, 3)
-        assert np.allclose(mlp_forward(m, y), naive_mlp_eval(m, y), atol=1e-12)
+        assert np.allclose(m.forward(y), naive_mlp_eval(m, y), atol=1e-12)
 
 
 def test_mlp_batch_matches_single():
@@ -397,6 +396,27 @@ def test_approximate_exact_three_orders_mixed():
     assert net.max_invariance_deviation(rng, trials=30) <= 1e-9
     X = rng.uniforms(-1, 1, 50, 3)
     assert np.allclose(net.forward_many(X), p.evaluate_many(X), atol=1e-10)
+
+
+def test_approximate_computes_each_partition_once_per_degree(monkeypatch):
+    import ginet.net
+    from ginet.permgroup import dihedral
+    G = dihedral(7)
+    terms = [b for k in (1, 2, 3) for b in basis_polynomials(G, k)[:3]]
+    p = Polynomial.zero(7)
+    for b in terms:
+        p = p + b.polynomial
+    calls = []
+
+    def counted(G, k, *args, **kwargs):
+        calls.append(k)
+        return poly_classes(G, k, *args, **kwargs)
+
+    monkeypatch.setattr(ginet.net, "poly_classes", counted)
+    _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    assert len(report.terms) == len(terms) == 7
+    assert sorted(calls) == [1, 2, 3]
+    assert report.achieved_max_error <= 1e-10
 
 
 def test_approximate_exact_more_groups():

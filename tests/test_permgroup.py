@@ -10,8 +10,6 @@ from ginet.permgroup import (
     cyclic,
     dihedral,
     grid,
-    is_even,
-    is_subgroup,
     named_group,
     symmetric,
     trivial,
@@ -151,16 +149,16 @@ def test_generation_deterministic_order():
 
 
 def test_is_even():
-    assert is_even(Permutation.identity(5))
-    assert not is_even(perm(5, "(1 2)"))
-    assert is_even(perm(5, "(1 2 3)"))  # two transpositions
+    assert Permutation.identity(5).is_even()
+    assert not perm(5, "(1 2)").is_even()
+    assert perm(5, "(1 2 3)").is_even()  # two transpositions
 
 
 def test_parity_homomorphism():
     G = symmetric(4)
     for g in G:
         for h in G.elements[::5]:
-            assert is_even(compose(g, h)) == (is_even(g) == is_even(h))
+            assert compose(g, h).is_even() == (g.is_even() == h.is_even())
 
 
 def test_closure_property_exhaustive():
@@ -200,15 +198,15 @@ def test_alternating_equals_even_subset():
     for n in range(2, 6):
         A = alternating(n)
         S = symmetric(n)
-        evens = {g.images for g in S if is_even(g)}
+        evens = {g.images for g in S if g.is_even()}
         assert {g.images for g in A} == evens
 
 
 def test_is_subgroup():
-    assert is_subgroup(cyclic(4), symmetric(4))
-    assert not is_subgroup(alternating(4), cyclic(4))
+    assert cyclic(4).is_subgroup_of(symmetric(4))
+    assert not alternating(4).is_subgroup_of(cyclic(4))
     G = dihedral(4)
-    assert is_subgroup(G, G)
+    assert G.is_subgroup_of(G)
 
 
 def test_named_group_dispatch():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from ginet.orbits import poly_classes
-from ginet.permgroup import alternating, cyclic, symmetric, trivial
+from ginet.permgroup import alternating, cyclic, dihedral, grid, symmetric, trivial
 from ginet.polybasis import (
+    INVARIANCE_TOL,
     NotInvariantError,
     Polynomial,
     basis_polynomials,
     check_fixed_point,
     coeff_tensor,
-    evaluate,
     expand_in_basis,
     homogeneous_decompose,
     indicator_tensor,
@@ -38,8 +38,8 @@ def power_sum(n, d):
 # ------------------------------------------------------------ polynomial core
 
 def test_evaluate_constant_and_power_sum():
-    assert evaluate(Polynomial.constant(3, 1.0), [5, 6, 7]) == 1.0
-    assert evaluate(power_sum(3, 2), [1, 2, 3]) == 14.0
+    assert Polynomial.constant(3, 1.0).evaluate([5, 6, 7]) == 1.0
+    assert power_sum(3, 2).evaluate([1, 2, 3]) == 14.0
 
 
 def test_evaluate_invariance_under_generators():
@@ -49,7 +49,7 @@ def test_evaluate_invariance_under_generators():
     for _ in range(10):
         x = rng.uniforms(-1, 1, 4)
         for g in G.generators:
-            assert evaluate(p, g.apply_vector(x)) == pytest.approx(evaluate(p, x))
+            assert p.evaluate(g.apply_vector(x)) == pytest.approx(p.evaluate(x))
 
 
 def test_evaluate_many_matches_single():
@@ -63,7 +63,7 @@ def test_evaluate_many_matches_single():
 
 def test_size_mismatch_errors():
     with pytest.raises(ValueError):
-        evaluate(power_sum(3, 2), [1, 2])
+        power_sum(3, 2).evaluate([1, 2])
     with pytest.raises(ValueError):
         Polynomial(3, {(1, 0): 1.0})
 
@@ -146,7 +146,7 @@ def test_coeff_tensor_rejects_inhomogeneous():
 
 def test_fixed_point_all_ones():
     from ginet.polybasis import CoeffTensor
-    W = CoeffTensor(3, 2, np.ones((3, 3)), symmetric=True)
+    W = CoeffTensor(3, 2, np.ones((3, 3)))
     assert check_fixed_point(W, symmetric(3))
     assert check_fixed_point(W, cyclic(3))
 
@@ -163,7 +163,7 @@ def test_fixed_point_single_tuple_fails():
     from ginet.polybasis import CoeffTensor
     values = np.zeros((2, 2))
     values[0, 1] = 1.0
-    W = CoeffTensor(2, 2, values, symmetric=False)
+    W = CoeffTensor(2, 2, values)
     assert not check_fixed_point(W, symmetric(2))
 
 
@@ -324,6 +324,53 @@ def test_expand_rejects_non_invariant():
 def test_is_invariant():
     assert is_invariant(power_sum(4, 2), symmetric(4))
     assert not is_invariant(Polynomial.variable(4, 0), symmetric(4))
+    with pytest.raises(ValueError):
+        is_invariant(Polynomial.variable(3, 0), trivial(4))  # no generator to apply
+
+
+def random_polynomial(n, rng, terms=4, max_degree=3):
+    out = {}
+    for _ in range(terms):
+        exps = [0] * n
+        for _ in range(rng.randint(max_degree + 1)):
+            exps[rng.randint(n)] += 1
+        out[tuple(exps)] = rng.uniform(-2, 2)
+    return Polynomial(n, out)
+
+
+def reynolds_verdict(p, G):
+    """The reference check: p equals its full group average."""
+    scale = max([abs(c) for c in p.terms.values()], default=1.0)
+    return reynolds(p, G).allclose(p, INVARIANCE_TOL * max(1.0, scale))
+
+
+def test_is_invariant_matches_reynolds_oracle():
+    rng = SplitMix64(11)
+    groups = [cyclic(4), dihedral(5), alternating(4), symmetric(4), grid([2, 3])]
+    for G in groups:
+        verdicts = set()
+        for _ in range(10):
+            raw = random_polynomial(G.n, rng)
+            for p in (raw, reynolds(raw, G)):
+                verdict = is_invariant(p, G)
+                assert verdict == reynolds_verdict(p, G)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_is_invariant_large_group_exact():
+    # 165 terms over S8 (|G| = 40320); only the two generators are applied
+    G = symmetric(8)
+    rng = SplitMix64(12)
+    p = Polynomial.zero(8)
+    for k in range(4):
+        for b in basis_polynomials(G, k):
+            p = p + b.polynomial.scale(rng.uniform(0.5, 2.0))
+    assert len(p.terms) == 165
+    assert is_invariant(p, G)
+    key = (1, 1, 0, 0, 0, 0, 0, 0)
+    bumped = Polynomial(8, {**p.terms, key: p.terms[key] + 1e-6})
+    assert not is_invariant(bumped, G)
 
 
 # ------------------------------------------------------------ vandermonde
