@@ -8,7 +8,14 @@ as feature channels (order-1 -> order-k equivariant layer), multiplying
 them with a feature-wise gadget, and summing the resulting tensor.
 Weighted mixtures of such terms are realized as a single network by
 lifting every term to a common tensor order, concatenating features,
-and finishing with a weighted-sum head.
+and finishing with a weighted-sum head (build_term_network,
+build_unified).
+
+That layer is a 0/1 selection, so a term equals its gadget summed over
+the class members plus (n^k - |class|) * gadget(0).  approximate_polynomial
+evaluates every term that way, on its class support (ClassSumStage),
+instead of on all n^d lifted tuples; the lifted unified network is the
+reference form the tests check it against.
 
 Tensors flow through stages flattened: (batch, n^order, features).
 
@@ -29,7 +36,7 @@ import numpy as np
 from .equivlayers import EquivariantLayer, layer_space, monomial_factors_layer, zero_layer
 from .orbits import OrbitPartition, poly_classes
 from .permgroup import PermGroup
-from .polybasis import Polynomial, expand_in_basis
+from .polybasis import Polynomial, expand_in_basis, homogeneous_decompose
 from .rng import SplitMix64
 
 
@@ -629,6 +636,49 @@ class SumStage:
         return T.sum(axis=1) * self.scales
 
 
+class ClassSumStage:
+    """Basis terms evaluated on their class supports.
+
+    The factor layer of a term network is a 0/1 selection: at a tuple t
+    of the term's class it yields the factors x_t, elsewhere the zero
+    vector.  The term therefore equals the gadget summed over the class
+    members plus (n^k - |class|) * gadget(0), exactly, for any gadget;
+    build_unified over build_term_network terms is the lifted reference
+    form of the same outputs.  One output feature per
+    (partition, class_index, gadget) term.
+    """
+
+    kind = "invariant_sum"
+
+    def __init__(self, terms: Sequence[tuple[OrbitPartition, int, object]]):
+        self.terms = []
+        for partition, class_index, gadget in terms:
+            n, k = partition.n, partition.k
+            if k < 1:
+                raise ValueError("term networks need degree >= 1; constants are a bias")
+            if getattr(gadget, "k", None) != k:
+                raise ValueError(f"product gadget arity {getattr(gadget, 'k', None)} != {k}")
+            codes = partition.members(class_index)
+            digits = codes[:, None] // n ** np.arange(k - 1, -1, -1) % n
+            # the last row is the zero tuple, read from a zero column that
+            # forward appends, so gadget(0) comes from the same batched call
+            # as the members: a one-row call can round differently (a BLAS
+            # matrix-vector path, about 1e-13 off for trained gadgets), and
+            # the n^k - |class| multiplier would amplify that gap
+            digits = np.vstack([digits, np.full((1, k), -1)])
+            self.terms.append((digits, gadget, n**k - codes.size))
+
+    def forward(self, T: np.ndarray) -> np.ndarray:
+        B = T.shape[0]
+        X = np.concatenate([T[:, :, 0], np.zeros((B, 1))], axis=1)
+        out = np.empty((B, len(self.terms)))
+        for j, (digits, gadget, outside) in enumerate(self.terms):
+            rows = X[:, digits].reshape(-1, digits.shape[1])
+            values = np.asarray(gadget(rows)).reshape(B, len(digits))
+            out[:, j] = values[:, :-1].sum(axis=1) + outside * values[:, -1]
+        return out
+
+
 class MLPStage:
     kind = "mlp"
 
@@ -794,7 +844,8 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
                            eval_points: int = 10_000,
                            ) -> tuple[GInvariantNetwork, ApproximationReport]:
     """Expand an invariant polynomial over the class basis, approximate
-    every term with a gadget network, and unify.
+    every term with a product gadget, and return one network that sums
+    each term over its class support and weights the sums.
 
     Each degree-k gadget trains to the n^-k * epsilon / |alpha|_1 target
     so the term-by-term error chain keeps the total below epsilon.
@@ -808,7 +859,8 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     c = max(abs(lo), abs(hi))
     n = G.n
 
-    coeffs = expand_in_basis(p, G)
+    partitions = {k: poly_classes(G, k) for k in homogeneous_decompose(p)}
+    coeffs = expand_in_basis(p, G, partitions=partitions)
     l1 = sum(abs(a) for a in coeffs.values())
     constant = coeffs.get((0, 0), 0.0)
     degrees = sorted({k for (k, _ci) in coeffs if k >= 1})
@@ -823,15 +875,15 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
                 f"degree-{k}").next_u64() & 0x7FFFFFFF)
             gadgets[k] = train_product_mlp(k, c, target, sub)
 
-    partitions = {k: poly_classes(G, k) for k in degrees}
-    term_nets = []
+    terms = []
+    alphas = []
     term_rows = []
     for (k, ci), alpha in sorted(coeffs.items()):
         if k == 0:
             continue
         partition = partitions[k]
-        net = build_term_network(G, partition, ci, gadgets[k])
-        term_nets.append((alpha, net))
+        terms.append((partition, ci, gadgets[k]))
+        alphas.append(alpha)
         err = gadgets[k].max_error
         term_rows.append({
             "degree": k,
@@ -843,10 +895,9 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
             "gadget": gadgets[k].describe(),
         })
 
-    if term_nets:
-        network = build_unified(term_nets, constant=constant)
-    else:
-        network = constant_network(G, constant)
+    head = MLP([np.array([alphas])], [np.array([constant])], "sigmoid")
+    network = GInvariantNetwork(G, [ClassSumStage(terms), MLPStage(head)],
+                                order=max(degrees, default=1))
 
     eval_rng = SplitMix64(cfg.seed).spawn("approx-eval")
     X = eval_rng.uniforms(lo, hi, eval_points, n)

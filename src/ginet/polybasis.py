@@ -308,13 +308,17 @@ def is_invariant(p: Polynomial, G: PermGroup, tol: float = INVARIANCE_TOL) -> bo
 
 
 def expand_in_basis(p: Polynomial, G: PermGroup,
-                    tol: float = INVARIANCE_TOL) -> dict[tuple[int, int], float]:
+                    tol: float = INVARIANCE_TOL,
+                    partitions: Mapping[int, OrbitPartition] | None = None,
+                    ) -> dict[tuple[int, int], float]:
     """Coordinates of an invariant p over the class basis.
 
     Returns {(degree, class_index): alpha} with
     p = sum alpha * basis_polynomial.  The coefficient for a class is the
     coefficient in p of the class's representative monomial divided by
-    the number of tuples in the class producing that monomial.
+    the number of tuples in the class producing that monomial.  A
+    degree's polynomial partition is taken from partitions when given
+    there, and computed otherwise.
     """
     if p.n != G.n:
         raise ValueError("polynomial and group disagree on n")
@@ -323,7 +327,7 @@ def expand_in_basis(p: Polynomial, G: PermGroup,
     coeffs: dict[tuple[int, int], float] = {}
     reconstruction = Polynomial.zero(p.n)
     for k, p_k in homogeneous_decompose(p).items():
-        partition = poly_classes(G, k)
+        partition = (partitions or {}).get(k) or poly_classes(G, k)
         basis = basis_polynomials(G, k, partition=partition)
         for b in basis:
             rep_exps = [0] * p.n

@@ -9,15 +9,19 @@ identical runs bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -55,11 +59,18 @@ class SplitMix64:
                 return u % n
 
     def floats(self, *shape: int) -> np.ndarray:
-        count = 1
-        for s in shape:
-            count *= s
-        vals = [(self.next_u64() >> 11) * 2.0**-53 for _ in range(count)]
-        return np.array(vals, dtype=np.float64).reshape(shape)
+        """The next prod(shape) uniform() values, mixed as one uint64 array
+        (its arithmetic wraps mod 2^64, like the & _MASK of next_u64)."""
+        if any(s < 0 for s in shape):
+            raise ValueError(f"negative dimension in shape {shape}")
+        count = math.prod(shape)
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + np.uint64(_GAMMA) * steps
+        self.state = (self.state + count * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+        z ^= z >> np.uint64(31)
+        return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shape)
 
     def uniforms(self, lo: float, hi: float, *shape: int) -> np.ndarray:
         return lo + (hi - lo) * self.floats(*shape)

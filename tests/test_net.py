@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ginet.net import (
+    ClassSumStage,
     ExactProduct,
     GInvariantNetwork,
     IdentityProduct,
@@ -19,7 +20,7 @@ from ginet.net import (
     mlp_train,
     train_product_mlp,
 )
-from ginet.orbits import poly_classes
+from ginet.orbits import layer_classes, poly_classes
 from ginet.permgroup import cyclic, symmetric
 from ginet.polybasis import Polynomial, basis_polynomials
 from ginet.rng import SplitMix64
@@ -413,10 +414,107 @@ def test_approximate_computes_each_partition_once_per_degree(monkeypatch):
         return poly_classes(G, k, *args, **kwargs)
 
     monkeypatch.setattr(ginet.net, "poly_classes", counted)
+    monkeypatch.setattr(ginet.polybasis, "poly_classes", counted)
     _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
     assert len(report.terms) == len(terms) == 7
     assert sorted(calls) == [1, 2, 3]
     assert report.achieved_max_error <= 1e-10
+
+
+def test_approximate_builds_no_layer_partition(monkeypatch):
+    # the class-sum network needs no order-1 -> order-k layer, so no
+    # layer_classes call for any term, nor for a constant-only target
+    import ginet.equivlayers
+    from ginet.permgroup import dihedral
+    G = dihedral(7)
+    p = Polynomial.constant(7, 0.5)
+    for k in (1, 2, 3):
+        for b in basis_polynomials(G, k)[:2]:
+            p = p + b.polynomial
+    calls = []
+
+    def counted(G, k, *args, **kwargs):
+        calls.append(k)
+        return layer_classes(G, k, *args, **kwargs)
+
+    monkeypatch.setattr(ginet.equivlayers, "layer_classes", counted)
+    for target in (p, Polynomial.constant(7, 2.0)):
+        net, report = approximate_polynomial(G, target, 0.05, exact_mul=True,
+                                             eval_points=50)
+        assert report.achieved_max_error <= 1e-10
+    assert calls == []
+
+
+# ------------------------------------------------------------------- class sums vs the layered reference
+
+def _assert_matches_reference(network, G, spec, constant, points=40, seed=31):
+    """network must equal build_unified over spec's term networks within
+    1e-12 * max(1, |output|); spec holds (alpha, partition, class, gadget)."""
+    reference = build_unified([(alpha, build_term_network(G, P, ci, gadget))
+                               for alpha, P, ci, gadget in spec], constant=constant)
+    assert network.order == reference.order
+    X = SplitMix64(seed).uniforms(-1, 1, points, G.n)
+    want = reference.forward_many(X)
+    got = network.forward_many(X)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    return want
+
+
+def _class_sum_network(G, spec, constant):
+    head = MLP([np.array([[alpha for alpha, *_ in spec]])], [np.array([constant])])
+    return GInvariantNetwork(G, [ClassSumStage([(P, ci, g) for _a, P, ci, g in spec]),
+                                 MLPStage(head)],
+                             order=max(P.k for _a, P, _ci, _g in spec))
+
+
+def test_class_sums_match_reference_exact_d7():
+    from ginet.permgroup import dihedral
+    G = dihedral(7)
+    rng = SplitMix64(32)
+    p = Polynomial.constant(7, -0.75)
+    for k in (1, 2, 3):
+        for b in basis_polynomials(G, k):
+            p = p + b.polynomial.scale(rng.uniform(-1, 1))
+    net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    partitions = {k: poly_classes(G, k) for k in (1, 2, 3)}
+    spec = [(t["alpha"], partitions[t["degree"]], t["class_index"],
+             ExactProduct(t["degree"])) for t in report.terms]
+    assert {t["degree"] for t in report.terms} == {1, 2, 3}
+    _assert_matches_reference(net, G, spec, report.constant_term)
+
+
+def test_class_sums_match_reference_trained_s5():
+    # trained gadgets have gadget(0) != 0, so the off-class constant matters
+    G = symmetric(5)
+    rng = SplitMix64(33)
+    spec = []
+    for k, target in ((1, 0.05), (2, 0.05), (3, 0.1)):
+        gadget = train_product_mlp(k, 1.0, target, TrainConfig(seed=k))
+        P = poly_classes(G, k)
+        spec += [(rng.uniform(-2, 2), P, ci, gadget) for ci in range(P.num_classes)]
+    assert any(abs(float(g(np.zeros((1, g.k)))[0])) > 0 for *_x, g in spec)
+    out = _assert_matches_reference(_class_sum_network(G, spec, 0.3), G, spec, 0.3)
+    assert np.max(np.abs(out)) > 1.0
+
+
+def test_class_sums_match_reference_tree_c6():
+    from ginet.net import TreeProduct
+    G = cyclic(6)
+    rng = SplitMix64(34)
+    tree = train_product_mlp(4, 1.0, 0.05, TrainConfig(seed=0))
+    assert isinstance(tree, TreeProduct)
+    P2, P4 = poly_classes(G, 2), poly_classes(G, 4)
+    spec = [(rng.uniform(-1, 1), P2, 1, ExactProduct(2))]
+    spec += [(rng.uniform(-2, 2), P4, ci, tree) for ci in (0, 5, 17, P4.num_classes - 1)]
+    _assert_matches_reference(_class_sum_network(G, spec, -1.0), G, spec, -1.0)
+
+
+def test_class_sum_stage_validation():
+    P = poly_classes(cyclic(4), 2)
+    with pytest.raises(ValueError, match="arity"):
+        ClassSumStage([(P, 0, ExactProduct(3))])
+    with pytest.raises(ValueError, match="degree"):
+        ClassSumStage([(poly_classes(cyclic(4), 0), 0, ExactProduct(0))])
 
 
 def test_approximate_exact_more_groups():
