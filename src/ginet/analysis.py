@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .equivlayers import layer_space, random_layer
+from .equivlayers import LayerSpace, layer_space, random_layer
 from .net import ActivationStage, EquivStage, GInvariantNetwork, MLP, MLPStage, SumStage
 from .orbits import layer_classes, orbit_count_squared
-from .permgroup import PermGroup, Permutation, alternating, symmetric
+from .permgroup import DEFAULT_GROUP_CAP, PermGroup, Permutation, alternating, symmetric
 from .polybasis import vandermonde_value
 from .rng import SplitMix64
 
@@ -98,13 +99,21 @@ class VandermondeReport:
     guaranteed: bool            # equality is forced when 2*max_order <= n-2
 
 
-def _random_alternating_network(n: int, order: int, rng: SplitMix64,
-                                width: int = 2) -> GInvariantNetwork:
-    """A random alternating-group-invariant network of the given tensor order."""
+def _alternating_layer_spaces(n: int, order: int,
+                              width: int = 2) -> tuple[LayerSpace, LayerSpace, LayerSpace]:
+    """The layer spaces of a random alternating network: lift the input to
+    the given tensor order, mix at that order, then reduce to order 0."""
     A = alternating(n)
-    sp1 = layer_space(A, 1, order, 1, width)
-    sp2 = layer_space(A, order, order, width, width)
-    sp3 = layer_space(A, order, 0, width, width)
+    return (layer_space(A, 1, order, 1, width),
+            layer_space(A, order, order, width, width),
+            layer_space(A, order, 0, width, width))
+
+
+def _random_alternating_network(spaces: tuple[LayerSpace, LayerSpace, LayerSpace],
+                                rng: SplitMix64) -> GInvariantNetwork:
+    """A random alternating-group-invariant network on the given layer spaces."""
+    sp1, sp2, sp3 = spaces
+    width = sp3.b
     head = MLP([rng.uniforms(-1, 1, 1, width)], [rng.uniforms(-1, 1, 1)], "sigmoid")
     stages = [EquivStage(random_layer(sp1, rng)),
               ActivationStage("sigmoid"),
@@ -113,7 +122,7 @@ def _random_alternating_network(n: int, order: int, rng: SplitMix64,
               EquivStage(random_layer(sp3, rng)),
               SumStage(np.ones(width)),
               MLPStage(head)]
-    return GInvariantNetwork(A, stages, order=order)
+    return GInvariantNetwork(sp1.group, stages, order=sp2.k)
 
 
 def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
@@ -129,6 +138,8 @@ def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
     below n-2, i.e. 2*max_order <= n-2; beyond that range the check
     reports whatever happens (typically genuine separation).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if x0 is None:
         x0 = tuple(float(i) for i in range(1, n + 1))
     x0_arr = np.asarray(x0, dtype=np.float64)
@@ -137,9 +148,10 @@ def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
     swap = Permutation.from_cycles(n, [(1, 2)])
     x1 = swap.apply_vector(x0_arr)
     rng = SplitMix64(seed)
+    spaces = _alternating_layer_spaces(n, max_order)
     worst = 0.0
     for t in range(trials):
-        net = _random_alternating_network(n, max_order, rng.spawn(f"trial-{t}"))
+        net = _random_alternating_network(spaces, rng.spawn(f"trial-{t}"))
         dev = abs(net.forward(x0_arr) - net.forward(x1))
         worst = max(worst, dev)
     return VandermondeReport(
@@ -163,21 +175,52 @@ class ClosureReport:
         assert self.is_two_closed == (self.closure_order == self.group_order)
 
 
+def _coloring_automorphisms(col: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Every permutation h with col[h(i)][h(j)] == col[i][j] for all i, j,
+    as image tuples in lexicographic order.
+
+    Backtracking: the images of 0, 1, ... are assigned in turn, each from
+    the unused points in ascending order, and a candidate v for point i
+    is pruned as soon as it changes the color of (i, i) or of a pair it
+    forms with an assigned point.
+    """
+    n = len(col)
+    img: list[int] = []
+    used = [False] * n
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(img)
+            return
+        for v in range(n):
+            if used[v] or col[v][v] != col[i][i]:
+                continue
+            if any(col[img[j]][v] != col[j][i] or col[v][img[j]] != col[i][j]
+                   for j in range(i)):
+                continue
+            used[v] = True
+            img.append(v)
+            yield from extend(i + 1)
+            img.pop()
+            used[v] = False
+
+    return extend(0)
+
+
 def two_closure(G: PermGroup) -> PermGroup:
     """The largest subgroup of S_n with the same orbits on [n]^2:
     every permutation preserving the pair-class coloring.
 
-    Brute force over all n! permutations; fine for n <= 8.
+    The members are found by a backtracking search over partial maps
+    (see ``_coloring_automorphisms``) in lexicographic order, and a
+    generating set is picked greedily from them in that order; capped at
+    n <= 8 because the closure is materialized in full.
     """
     n = G.n
     if n > TWO_CLOSURE_MAX_N:
         raise ValueError(f"two_closure enumerates S_{n}; capped at n <= {TWO_CLOSURE_MAX_N}")
-    coloring = layer_classes(G, 2).class_id.reshape(n, n)
-    members = []
-    for images in itertools.permutations(range(n)):
-        arr = np.array(images)
-        if np.array_equal(coloring[np.ix_(arr, arr)], coloring):
-            members.append(Permutation(images))
+    coloring = layer_classes(G, 2).class_id.reshape(n, n).tolist()
+    members = [Permutation(images) for images in _coloring_automorphisms(coloring)]
     # find a small generating set, scanning in lex order
     gens: list[Permutation] = []
     closure = PermGroup.generate(n, gens)
@@ -193,13 +236,31 @@ def two_closure(G: PermGroup) -> PermGroup:
 
 def is_two_closed(G: PermGroup, max_witnesses: int = 10) -> ClosureReport:
     closure = two_closure(G)
-    witnesses = [h.cycle_string() for h in closure if h not in G]
+    witnesses = itertools.islice((h.cycle_string() for h in closure if h not in G),
+                                 max_witnesses)
     return ClosureReport(
         group_order=G.order,
         closure_order=closure.order,
         is_two_closed=closure.order == G.order,
         orbit_count_squared=orbit_count_squared(G),
-        witnesses=tuple(witnesses[:max_witnesses]))
+        witnesses=tuple(witnesses))
+
+
+def _double_coset(g: tuple[int, ...], gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The double coset G g G as image tuples: the closure of g under left
+    and right multiplication by G's generators."""
+    coset = {g}
+    frontier = [g]
+    while frontier:
+        new_frontier = []
+        for h in frontier:
+            for a in gens:
+                for x in (tuple(a[i] for i in h), tuple(h[i] for i in a)):
+                    if x not in coset:
+                        coset.add(x)
+                        new_frontier.append(x)
+        frontier = new_frontier
+    return coset
 
 
 def enumerate_supergroups(G: PermGroup, cap: int | None = None) -> list[PermGroup]:
@@ -208,18 +269,29 @@ def enumerate_supergroups(G: PermGroup, cap: int | None = None) -> list[PermGrou
     Orbit counts are monotone under inclusion, so a strict supergroup
     violating the strict-inequality condition forces a violating single
     extension; checking these suffices.
+
+    <G, agb> = <G, g> for a, b in G, so one closure per double coset G g G
+    suffices. S_n is scanned in lex order and each double coset is
+    extended by its lex-first element, which is also the first element
+    producing its group, so the list and each group's generators are
+    those of one closure per permutation.
     """
     n = G.n
     if n > SUPERGROUP_MAX_N:
         raise ValueError(f"supergroup enumeration scans S_{n}; capped at "
                          f"n <= {SUPERGROUP_MAX_N}; pass explicit supergroups instead")
+    cap = DEFAULT_GROUP_CAP if cap is None else cap
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    gens = [a.images for a in G.generators]
+    handled = {h.images for h in G}     # G itself and every double coset extended
     out: list[PermGroup] = []
     seen: set[frozenset] = set()
     for images in itertools.permutations(range(n)):
-        g = Permutation(images)
-        if g in G:
+        if images in handled:
             continue
-        H = PermGroup.generate(n, list(G.generators) + [g], cap=cap or 10**6)
+        handled |= _double_coset(images, gens)
+        H = PermGroup.generate(n, list(G.generators) + [Permutation(images)], cap=cap)
         key = frozenset(h.images for h in H)
         if key not in seen:
             seen.add(key)

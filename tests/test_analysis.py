@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ginet.analysis import (
     an_sn_layer_equality,
@@ -20,6 +21,7 @@ from ginet.permgroup import (
     alternating,
     cyclic,
     dihedral,
+    grid,
     symmetric,
     trivial,
 )
@@ -106,6 +108,12 @@ def test_vandermonde_obstruction_n4():
     assert rep.vandermonde_gap == pytest.approx(12.0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_vandermonde_obstruction_rejects_no_trials(trials):
+    with pytest.raises(ValueError):
+        vandermonde_obstruction(4, 1, trials=trials)
+
+
 def test_vandermonde_gap_nonzero_for_distinct_coords():
     assert vandermonde_value([1.0, 2.0, 3.0, 4.0]) != 0.0
 
@@ -116,9 +124,9 @@ def test_vandermonde_obstruction_rejects_repeated_coords():
 
 
 def test_random_alternating_net_is_alternating_invariant():
-    from ginet.analysis import _random_alternating_network
+    from ginet.analysis import _alternating_layer_spaces, _random_alternating_network
     rng = SplitMix64(3)
-    net = _random_alternating_network(4, 1, rng)
+    net = _random_alternating_network(_alternating_layer_spaces(4, 1), rng)
     assert net.max_invariance_deviation(SplitMix64(4), trials=20) <= 1e-9
 
 
@@ -173,6 +181,115 @@ def test_two_closure_cap():
         two_closure(cyclic(9))
 
 
+def test_is_two_closed_witnesses_are_the_first_outside_the_group():
+    G = alternating(4)
+    outside = [h.cycle_string() for h in two_closure(G) if h not in G]
+    for m in (0, 3, 10, 100):
+        assert is_two_closed(G, max_witnesses=m).witnesses == tuple(outside[:m])
+
+
+# ------------------------------------ reference paths the faster ones replace
+
+def two_closure_by_scan(G: PermGroup) -> PermGroup:
+    """Oracle: test every one of the n! permutations against the pair
+    coloring, then pick generators greedily in lex order."""
+    n = G.n
+    coloring = layer_classes(G, 2).class_id.reshape(n, n)
+    members = []
+    for images in itertools.permutations(range(n)):
+        arr = np.array(images)
+        if np.array_equal(coloring[np.ix_(arr, arr)], coloring):
+            members.append(Permutation(images))
+    gens: list[Permutation] = []
+    closure = PermGroup.generate(n, gens)
+    for h in members:
+        if h not in closure:
+            gens.append(h)
+            closure = PermGroup.generate(n, gens)
+    assert closure.order == len(members)
+    return closure
+
+
+def _closure_set(gens: list[tuple[int, ...]], n: int) -> frozenset:
+    """The elements of <gens> as image tuples, by breadth-first closure.
+
+    Tuples instead of PermGroup.generate keep the one-closure-per-permutation
+    oracle affordable at n = 6."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            for g in gens:
+                h = tuple(g[i] for i in e)
+                if h not in seen:
+                    seen.add(h)
+                    new_frontier.append(h)
+        frontier = new_frontier
+    return frozenset(seen)
+
+
+def supergroups_by_scan(G: PermGroup) -> list[PermGroup]:
+    """Oracle: one closure <G, g> per permutation g outside G, deduplicated
+    in lex order of g."""
+    n = G.n
+    gens = [a.images for a in G.generators]
+    out: list[PermGroup] = []
+    seen: set[frozenset] = set()
+    for images in itertools.permutations(range(n)):
+        if Permutation(images) in G:
+            continue
+        key = _closure_set(gens + [images], n)
+        if key not in seen:
+            seen.add(key)
+            out.append(PermGroup.generate(n, list(G.generators) + [Permutation(images)]))
+    return out
+
+
+def _same_groups(got: list[PermGroup], want: list[PermGroup]) -> bool:
+    """Same groups in the same order, with the same generators and the
+    same element order."""
+    return ([(H.generators, H.elements) for H in got]
+            == [(H.generators, H.elements) for H in want])
+
+
+def _relabelled_c6() -> PermGroup:
+    return PermGroup.generate(6, [Permutation.from_cycles(6, [(1, 4, 2, 6, 3, 5)])])
+
+
+CROSS_CHECK_GROUPS = (
+    [family(n) for n in range(3, 7)
+     for family in (trivial, cyclic, dihedral, alternating, symmetric)]
+    + [PermGroup.generate(4, [Permutation.from_cycles(4, [(1, 2), (3, 4)]),
+                              Permutation.from_cycles(4, [(1, 3), (2, 4)])]),
+       grid((2, 3)), _relabelled_c6()])
+
+
+@pytest.mark.parametrize("G", CROSS_CHECK_GROUPS + [cyclic(7), dihedral(8)], ids=repr)
+def test_two_closure_matches_scan(G):
+    assert _same_groups([two_closure(G)], [two_closure_by_scan(G)])
+
+
+@pytest.mark.parametrize("G", CROSS_CHECK_GROUPS, ids=repr)
+def test_enumerate_supergroups_matches_scan(G):
+    assert _same_groups(enumerate_supergroups(G), supergroups_by_scan(G))
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return PermGroup.generate(n, [Permutation(g) for g in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets())
+def test_fast_paths_match_scans_on_random_groups(G):
+    assert _same_groups([two_closure(G)], [two_closure_by_scan(G)])
+    assert _same_groups(enumerate_supergroups(G), supergroups_by_scan(G))
+
+
 # ---------------------------------------------------------- supergroups
 
 def test_enumerate_supergroups_symmetric_empty():
@@ -184,6 +301,12 @@ def test_enumerate_supergroups_alternating_maximal():
         supers = enumerate_supergroups(alternating(n))
         assert len(supers) == 1
         assert supers[0] == symmetric(n)
+
+
+def test_enumerate_supergroups_cap_zero_is_rejected():
+    for G in (cyclic(4), symmetric(4)):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            enumerate_supergroups(G, cap=0)
 
 
 def test_enumerate_supergroups_trivial_n3():

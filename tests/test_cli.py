@@ -206,6 +206,13 @@ def test_verify_vandermonde_separates_beyond_range(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_vandermonde_rejects_no_trials(trials, capsys):
+    assert main(["verify", "vandermonde", "--n", "4", "--max-order", "1",
+                 "--trials", trials]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_necessary_command(tmp_path, capsys):
     p = tmp_path / "c5.grp"
     p.write_text("name = cyclic\nn = 5\n")
