@@ -19,6 +19,15 @@ reference form the tests check it against.
 
 Tensors flow through stages flattened: (batch, n^order, features).
 
+MLP.forward, which runs every gadget, the head and the trainer's grid
+checks, takes its rows in blocks of _ROW_BLOCK (the last block also
+takes the remainder), and runs each block through all layers with the
+bias and activation applied in place, so its (rows, width) activations
+stay in cache however many rows a class-sum stage sends.  Per row the
+arithmetic is that of one call over all rows (see _row_blocks).
+Training keeps whole-batch arrays (_forward_cached), because the
+gradients need every activation.
+
 The MLP is deliberately minimal: full-batch gradient descent with a
 constant step on mean squared error, seeded splitmix64 initialization,
 no adaptive optimizers.  Runs are bitwise reproducible for a fixed
@@ -68,6 +77,14 @@ def _dsigmoid(z):
     return s * (1.0 - s)
 
 
+def _sigmoid_inplace(z):
+    """_sigmoid written into z, in _sigmoid's operation order (same bits)."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+
+
 def _relu(z):
     return np.maximum(z, 0.0)
 
@@ -76,10 +93,38 @@ def _drelu(z):
     return (z > 0.0).astype(np.float64)
 
 
-ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "sigmoid": (_sigmoid, _dsigmoid),
-    "relu": (_relu, _drelu),
+def _relu_inplace(z):
+    np.maximum(z, 0.0, out=z)
+
+
+# name -> (activation, its derivative, the activation applied in place)
+ACTIVATIONS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "sigmoid": (_sigmoid, _dsigmoid, _sigmoid_inplace),
+    "relu": (_relu, _drelu, _relu_inplace),
 }
+
+# rows per block of MLP.forward: a block's (rows, width) activations stay
+# in cache (1024 x 64 floats = 512 KiB), while the BLAS calls keep enough
+# rows to take their batched path
+_ROW_BLOCK = 1024
+
+
+def _row_blocks(rows: int) -> list[tuple[int, int]]:
+    """max(1, rows // _ROW_BLOCK) (start, stop) blocks covering rows:
+    _ROW_BLOCK rows each, the last one also taking the remainder.
+
+    BLAS can round a row differently in a call with few rows (a small
+    matrix product, or the matrix-vector path of a one-output layer), so
+    there is no small tail block.  The matrix-vector kernel also sums
+    the last few rows of a call (fewer than its unroll width) by another
+    path, so every block but the last starts and ends on a multiple of
+    _ROW_BLOCK, a power of two.  With one BLAS thread each row then takes
+    the path it takes in one call over all rows, and the outputs are
+    bit-identical to that call's (OpenBLAS 0.3.31, Haswell kernels).
+    """
+    count = max(1, rows // _ROW_BLOCK)
+    cuts = [i * _ROW_BLOCK for i in range(count)] + [rows]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 class MLP:
@@ -111,18 +156,34 @@ class MLP:
                    [b.copy() for b in self.biases], self.activation)
 
     def forward(self, Y: np.ndarray) -> np.ndarray:
+        """Evaluate on one input (1-D) or a batch of rows (2-D).
+
+        The rows run through all layers one row block at a time (see
+        _row_blocks), each layer writing into a per-layer buffer that is
+        reused across blocks, with bias and activation applied in place.
+        """
         Y = np.asarray(Y, dtype=np.float64)
         single = Y.ndim == 1
-        A = Y.reshape(1, -1) if single else Y
-        if A.shape[1] != self.widths[0]:
-            raise ValueError(f"input width {A.shape[1]} != {self.widths[0]}")
-        act = ACTIVATIONS[self.activation][0]
+        X = Y.reshape(1, -1) if single else Y
+        widths = self.widths
+        if X.shape[1] != widths[0]:
+            raise ValueError(f"input width {X.shape[1]} != {widths[0]}")
+        act = ACTIVATIONS[self.activation][2]
+        blocks = _row_blocks(X.shape[0])
+        height = max(stop - start for start, stop in blocks)
+        out = np.empty((X.shape[0], widths[-1]))
+        buffers = [np.empty((height, w)) for w in widths[1:-1]]
         last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            A = A @ W.T + b
-            if i < last:
-                A = act(A)
-        return A[0] if single else A
+        for start, stop in blocks:
+            A = X[start:stop]
+            for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+                Z = out[start:stop] if i == last else buffers[i][:stop - start]
+                np.matmul(A, W.T, out=Z)
+                Z += b
+                if i < last:
+                    act(Z)
+                A = Z
+        return out[0] if single else out
 
 
 def mlp_init(widths: Sequence[int], activation: str, rng: SplitMix64,
@@ -723,8 +784,10 @@ class GInvariantNetwork:
 
     def forward_many(self, X: np.ndarray, chunk: int = 2048) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        # an empty batch still makes one (empty) forward call, which checks
+        # its width and gives the output its shape
         parts = [np.atleast_1d(self.forward(X[s:s + chunk]))
-                 for s in range(0, X.shape[0], chunk)]
+                 for s in range(0, max(1, X.shape[0]), chunk)]
         return np.concatenate(parts)
 
     def max_invariance_deviation(self, rng: SplitMix64, trials: int = 20,

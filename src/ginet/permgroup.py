@@ -41,6 +41,15 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation of
+        0..len-1 (a product of permutations), skipping __init__'s checks."""
+        p = object.__new__(cls)
+        p.n = len(images)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
@@ -175,7 +184,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p*q)(i) = p(q(i)): apply q first, then p."""
     if p.n != q.n:
         raise ValueError(f"domain sizes differ: {p.n} vs {q.n}")
-    return Permutation(tuple(p.images[q.images[i]] for i in range(p.n)))
+    return Permutation._trusted(tuple(map(p.images.__getitem__, q.images)))
 
 
 class PermGroup:
@@ -209,15 +218,16 @@ class PermGroup:
         identity = Permutation.identity(n)
         elements = [identity]
         seen = {identity.images}
-        frontier = [identity]
+        frontier = [identity.images]
+        gen_images = [g.images for g in gens]
         while frontier:
             new_frontier = []
             for e in frontier:
-                for g in gens:
-                    h = g * e
-                    if h.images not in seen:
-                        seen.add(h.images)
-                        elements.append(h)
+                for g in gen_images:
+                    h = tuple(map(g.__getitem__, e))    # the images of g * e
+                    if h not in seen:
+                        seen.add(h)
+                        elements.append(Permutation._trusted(h))
                         new_frontier.append(h)
                         if len(elements) > cap:
                             raise GroupTooLargeError(

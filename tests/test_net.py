@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ginet.net
 from ginet.net import (
+    ACTIVATIONS,
     ClassSumStage,
     ExactProduct,
     GInvariantNetwork,
@@ -19,6 +23,7 @@ from ginet.net import (
     mlp_init,
     mlp_train,
     train_product_mlp,
+    _ROW_BLOCK,
 )
 from ginet.orbits import layer_classes, poly_classes
 from ginet.permgroup import cyclic, symmetric
@@ -78,6 +83,63 @@ def test_mlp_batch_matches_single():
     batch = m.forward(Y)
     for i in range(5):
         assert np.allclose(batch[i], m.forward(Y[i]))
+
+
+def one_call_forward(m, Y):
+    """The whole batch through each layer in one call, with the
+    out-of-place activations: the reference for the blocked MLP.forward."""
+    Y = np.asarray(Y, dtype=np.float64)
+    single = Y.ndim == 1
+    A = Y.reshape(1, -1) if single else Y
+    act = ACTIVATIONS[m.activation][0]
+    last = len(m.weights) - 1
+    for i, (W, b) in enumerate(zip(m.weights, m.biases)):
+        A = A @ W.T + b
+        if i < last:
+            A = act(A)
+    return A[0] if single else A
+
+
+def _oracle_nets():
+    nets = [train_product_mlp(k, 1.0, 0.1, TrainConfig(seed=k)).mlp for k in (1, 2, 3)]
+    assert [len(m.weights) for m in nets] == [1, 3, 3]
+    rng = SplitMix64(40)
+    nets.append(mlp_init([3, 16, 8, 2], "relu", rng, zero_last=False))
+    nets.append(mlp_init([4, 3], "sigmoid", rng, zero_last=False))
+    return nets
+
+
+def test_mlp_forward_blocked_matches_one_call(monkeypatch):
+    blocks_seen = []
+
+    def recorded(rows):
+        blocks = row_blocks(rows)
+        blocks_seen.append((rows, blocks))
+        return blocks
+
+    row_blocks = ginet.net._row_blocks
+    monkeypatch.setattr(ginet.net, "_row_blocks", recorded)
+    B = _ROW_BLOCK
+    rng = SplitMix64(41)
+    for m in _oracle_nets():
+        y = rng.uniforms(-1.2, 1.2, m.widths[0])
+        assert np.array_equal(m.forward(y), one_call_forward(m, y))
+        assert m.forward(y).shape == (m.widths[-1],)
+        for rows in (0, 1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1):
+            Y = rng.uniforms(-1.2, 1.2, rows, m.widths[0])
+            got, want = m.forward(Y), one_call_forward(m, Y)
+            assert got.shape == want.shape == (rows, m.widths[-1])
+            if rows < 2 * B:   # one block
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    assert blocks_seen
+    for rows, blocks in blocks_seen:
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, rows // B)
+        if rows >= B // 2:
+            assert min(stop - start for start, stop in blocks) >= B // 2
 
 
 def test_mlp_width_mismatch():
@@ -515,6 +577,44 @@ def test_class_sum_stage_validation():
         ClassSumStage([(P, 0, ExactProduct(3))])
     with pytest.raises(ValueError, match="degree"):
         ClassSumStage([(poly_classes(cyclic(4), 0), 0, ExactProduct(0))])
+
+
+def test_forward_many_empty_batch():
+    G = cyclic(4)
+    P = poly_classes(G, 2)
+    term = build_term_network(G, P, 1, ExactProduct(2))
+    approx, _ = approximate_polynomial(
+        G, basis_polynomials(G, 2, partition=P)[1].polynomial, 0.05, exact_mul=True)
+    for net in (term, build_unified([(0.5, term)], 1.0), constant_network(G, 2.0), approx):
+        out = net.forward_many(np.zeros((0, 4)))
+        assert out.shape == net.forward(np.zeros((0, 4))).shape == (0,)
+        assert out.dtype == np.float64
+    with pytest.raises(ValueError, match="width"):
+        approx.forward_many(np.zeros((0, 3)))
+
+
+def test_forward_many_memory_s7():
+    # the S7 network of the approx benchmark's trained job: gadgets for
+    # degrees 1 and 2 run on 2048 points x 51 class tuples; one call over
+    # all rows held about 130 MB of (rows, 64) activations at once
+    G = symmetric(7)
+    rng = SplitMix64(42)
+    p = Polynomial.constant(7, 0.1)
+    for k in (1, 2):
+        for b in basis_polynomials(G, k):
+            p = p + b.polynomial.scale(rng.uniform(-0.3, 0.3))
+    net, report = approximate_polynomial(G, p, 0.1, eval_points=0)
+    assert [t["degree"] for t in report.terms] == [1, 2, 2]
+    assert {t["gadget"]["kind"] for t in report.terms} == {"identity", "mlp"}
+    X = SplitMix64(43).uniforms(-1, 1, 2048, 7)
+    tracemalloc.start()
+    try:
+        out = net.forward_many(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2048,)
+    assert peak < 16 * 2**20
 
 
 def test_approximate_exact_more_groups():

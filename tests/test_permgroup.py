@@ -47,6 +47,26 @@ def test_compose_size_mismatch():
         compose(perm(3, "(1 2)"), perm(4, "(1 2)"))
 
 
+def test_compose_matches_validated_product():
+    rng = SplitMix64(8)
+    for _ in range(20):
+        a, b = list(range(6)), list(range(6))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        p, q = Permutation(a), Permutation(b)
+        pq = compose(p, q)
+        assert pq == Permutation([a[b[i]] for i in range(6)])
+        assert pq.n == 6 and type(pq.images) is tuple
+        assert all(type(i) is int for i in pq.images)
+        assert hash(pq) == hash(Permutation(pq.images))
+
+
+def test_permutation_rejects_malformed_images():
+    for images in ([0, 0, 2], [1, 2], [0, 1, 3], [-1, 0], [0, 2, 1, 2]):
+        with pytest.raises(ValueError):
+            Permutation(images)
+
+
 def test_inverse_roundtrip():
     rng = SplitMix64(7)
     for _ in range(20):
@@ -146,6 +166,39 @@ def test_generation_deterministic_order():
     a = PermGroup.generate(4, gens)
     b = PermGroup.generate(4, gens)
     assert [g.images for g in a.elements] == [g.images for g in b.elements]
+
+
+def closure_by_validated_products(n, gens):
+    """Breadth-first closure that builds every product through the
+    validating Permutation constructor: the reference for generate."""
+    identity = Permutation.identity(n)
+    elements, seen, frontier = [identity], {identity.images}, [identity]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            for g in gens:
+                h = Permutation([g.images[e.images[i]] for i in range(n)])
+                if h.images not in seen:
+                    seen.add(h.images)
+                    elements.append(h)
+                    new_frontier.append(h)
+        frontier = new_frontier
+    return elements
+
+
+@pytest.mark.parametrize("G", [
+    *(f(n) for f in (trivial, cyclic, dihedral, alternating, symmetric)
+      for n in range(1, 7)),
+    grid((2, 3)),
+], ids=repr)
+def test_generate_matches_validated_closure(G):
+    gens = [Permutation(list(g.images)) for g in G.generators]
+    H = PermGroup.generate(G.n, gens)
+    want = closure_by_validated_products(G.n, gens)
+    assert H.generators == tuple(gens)
+    assert [h.images for h in H.elements] == [w.images for w in want]
+    assert [g.images for g in G.elements] == [w.images for w in want]
+    assert all(type(h) is Permutation and h.n == G.n for h in H.elements)
 
 
 def test_is_even():
