@@ -220,7 +220,9 @@ def two_closure(G: PermGroup) -> PermGroup:
     if n > TWO_CLOSURE_MAX_N:
         raise ValueError(f"two_closure enumerates S_{n}; capped at n <= {TWO_CLOSURE_MAX_N}")
     coloring = layer_classes(G, 2).class_id.reshape(n, n).tolist()
-    members = [Permutation(images) for images in _coloring_automorphisms(coloring)]
+    # the search yields permutations only, so skip Permutation's check
+    members = [Permutation._trusted(images)
+               for images in _coloring_automorphisms(coloring)]
     # find a small generating set, scanning in lex order
     gens: list[Permutation] = []
     closure = PermGroup.generate(n, gens)

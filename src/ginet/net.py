@@ -25,6 +25,16 @@ takes the remainder), and runs each block through all layers with the
 bias and activation applied in place, so its (rows, width) activations
 stay in cache however many rows a class-sum stage sends.  Per row the
 arithmetic is that of one call over all rows (see _row_blocks).
+A call with more than one block (2 * _ROW_BLOCK rows or more, such as
+the class sums of approximate_polynomial) splits its blocks into one
+contiguous run per core and evaluates the runs at once in a shared
+thread pool; numpy's matmul and ufuncs release the GIL.  A one-block
+call (the verifiers, grad checks, single inputs) stays on the calling
+thread and never starts the pool.  Every block goes through the same
+numpy calls on either path, so the output does not depend on the core
+count.  The caller allocates the output and every run's buffers,
+because allocations in the pool threads come from per-thread malloc
+arenas and raise peak memory.
 Training keeps whole-batch arrays (_forward_cached), because the
 gradients need every activation.
 
@@ -37,6 +47,8 @@ seed.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -121,10 +133,59 @@ def _row_blocks(rows: int) -> list[tuple[int, int]]:
     _ROW_BLOCK, a power of two.  With one BLAS thread each row then takes
     the path it takes in one call over all rows, and the outputs are
     bit-identical to that call's (OpenBLAS 0.3.31, Haswell kernels).
+
+    The cuts depend on rows alone.  MLP.forward hands contiguous runs of
+    these blocks to its pool threads, and each block is evaluated by the
+    same calls whichever thread takes it, so the output is the same for
+    any number of workers.
     """
     count = max(1, rows // _ROW_BLOCK)
     cuts = [i * _ROW_BLOCK for i in range(count)] + [rows]
     return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# contiguous runs of row blocks that MLP.forward evaluates at once
+_WORKERS = _cpu_count()
+_POOL = None   # MLP.forward's ThreadPoolExecutor, created on first use
+_POOL_LOCK = threading.Lock()
+
+
+def _run_in_pool(jobs: list[tuple]) -> None:
+    """_forward_blocks(*job) for every job, at once on the pool; the
+    first error is raised once every job has finished."""
+    global _POOL
+    # imported here, not at the top: runs that never start the pool
+    # (every verifier) skip its import, logging included, at start-up
+    from concurrent.futures import ThreadPoolExecutor, wait
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=_WORKERS,
+                                       thread_name_prefix="ginet-mlp")
+        pool = _POOL
+    futures = [pool.submit(_forward_blocks, *job) for job in jobs]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist here, so
+    drop the pool (and a lock another thread may have held at the fork);
+    the next threaded forward creates a new one."""
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class MLP:
@@ -161,6 +222,14 @@ class MLP:
         The rows run through all layers one row block at a time (see
         _row_blocks), each layer writing into a per-layer buffer that is
         reused across blocks, with bias and activation applied in place.
+        With more than one block and more than one core, the blocks are
+        split into _WORKERS contiguous runs that the shared thread pool
+        evaluates at once (numpy's matmul and ufuncs release the GIL).
+        Each block goes through the same calls on either path, so the
+        output does not depend on the number of workers.  The output and
+        every run's buffers are allocated here, in the calling thread:
+        buffers allocated in the pool threads would come from per-thread
+        malloc arenas and raise peak memory.
         """
         Y = np.asarray(Y, dtype=np.float64)
         single = Y.ndim == 1
@@ -170,20 +239,41 @@ class MLP:
             raise ValueError(f"input width {X.shape[1]} != {widths[0]}")
         act = ACTIVATIONS[self.activation][2]
         blocks = _row_blocks(X.shape[0])
-        height = max(stop - start for start, stop in blocks)
         out = np.empty((X.shape[0], widths[-1]))
-        buffers = [np.empty((height, w)) for w in widths[1:-1]]
-        last = len(self.weights) - 1
-        for start, stop in blocks:
-            A = X[start:stop]
-            for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-                Z = out[start:stop] if i == last else buffers[i][:stop - start]
-                np.matmul(A, W.T, out=Z)
-                Z += b
-                if i < last:
-                    act(Z)
-                A = Z
+        jobs = []
+        for run in _split_runs(blocks, min(_WORKERS, len(blocks))):
+            height = max(stop - start for start, stop in run)
+            buffers = [np.empty((height, w)) for w in widths[1:-1]]
+            jobs.append((self.weights, self.biases, act, X, out, buffers, run))
+        if len(jobs) == 1:
+            _forward_blocks(*jobs[0])
+        else:
+            _run_in_pool(jobs)
         return out[0] if single else out
+
+
+def _forward_blocks(weights, biases, act, X, out, buffers, blocks) -> None:
+    """MLP.forward's per-block loop: the rows of each (start, stop) block
+    of X through all layers, hidden layers into buffers (one per hidden
+    width, at least as tall as the tallest block), the last into out.
+    Calls only numpy and act, so it can run in a pool thread."""
+    last = len(weights) - 1
+    for start, stop in blocks:
+        A = X[start:stop]
+        for i, (W, b) in enumerate(zip(weights, biases)):
+            Z = out[start:stop] if i == last else buffers[i][:stop - start]
+            np.matmul(A, W.T, out=Z)
+            Z += b
+            if i < last:
+                act(Z)
+            A = Z
+
+
+def _split_runs(blocks: list, count: int) -> list[list]:
+    """blocks cut into count contiguous runs whose lengths differ by at most 1."""
+    size, extra = divmod(len(blocks), count)
+    cuts = [r * size + min(r, extra) for r in range(count + 1)]
+    return [blocks[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def mlp_init(widths: Sequence[int], activation: str, rng: SplitMix64,
@@ -913,10 +1003,12 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     Each degree-k gadget trains to the n^-k * epsilon / |alpha|_1 target
     so the term-by-term error chain keeps the total below epsilon.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     cfg = cfg or TrainConfig()
     lo, hi = float(box[0]), float(box[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"box ends must be finite, got [{lo}, {hi}]")
     if lo >= hi:
         raise ValueError("box must satisfy lo < hi")
     c = max(abs(lo), abs(hi))

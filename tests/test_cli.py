@@ -296,6 +296,18 @@ def test_approx_gadget_failure_exit1(c4_file, ring_poly_file, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [["--epsilon", "nan"], ["--epsilon", "inf"],
+                                    ["--epsilon", "0.05", "--box", "nan", "1"],
+                                    ["--epsilon", "0.05", "--box", "0", "inf"]])
+def test_approx_non_finite_exit2(c4_file, ring_poly_file, option, capsys):
+    # before the check, nan trained against nan targets (exit 1) and
+    # inf passed with within_epsilon: true (exit 0)
+    code = main(["approx", "--group", c4_file, "--poly", ring_poly_file,
+                 *option, "--eval-points", "10"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cli_subprocess_entry(c4_file):
     import os
     import subprocess

@@ -1,4 +1,10 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +146,128 @@ def test_mlp_forward_blocked_matches_one_call(monkeypatch):
         assert len(blocks) == max(1, rows // B)
         if rows >= B // 2:
             assert min(stop - start for start, stop in blocks) >= B // 2
+
+
+def test_mlp_forward_same_bits_for_any_worker_count(monkeypatch):
+    runs_seen = []
+
+    def recorded(*job):
+        runs_seen.append((threading.current_thread().name, len(job[-1])))
+        forward_blocks(*job)
+
+    forward_blocks = ginet.net._forward_blocks
+    monkeypatch.setattr(ginet.net, "_forward_blocks", recorded)
+    B = _ROW_BLOCK
+    rng = SplitMix64(44)
+    for m in _oracle_nets():
+        inputs = [rng.uniforms(-1.2, 1.2, m.widths[0])]
+        inputs += [rng.uniforms(-1.2, 1.2, rows, m.widths[0])
+                   for rows in (0, 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B, 5 * B + 7, 100_000)]
+        monkeypatch.setattr(ginet.net, "_WORKERS", 1)
+        runs_seen.clear()
+        serial = [m.forward(Y) for Y in inputs]
+        assert len(runs_seen) == len(inputs)
+        assert all(name == threading.current_thread().name for name, _ in runs_seen)
+        for workers in (2, 3, 4):
+            monkeypatch.setattr(ginet.net, "_WORKERS", workers)
+            for Y, want in zip(inputs, serial):
+                runs_seen.clear()
+                got = m.forward(Y)
+                assert got.shape == want.shape and np.array_equal(got, want)
+                blocks = max(1, len(Y) // B) if Y.ndim == 2 else 1
+                assert len(runs_seen) == min(workers, blocks)
+                assert sum(count for _, count in runs_seen) == blocks
+                if blocks > 1:   # only multi-block calls go to the pool
+                    assert all(name.startswith("ginet-mlp") for name, _ in runs_seen)
+                else:
+                    assert runs_seen[0][0] == threading.current_thread().name
+
+
+def test_mlp_forward_concurrent_callers(monkeypatch):
+    m = _oracle_nets()[1]
+    X = SplitMix64(45).uniforms(-1, 1, 5 * _ROW_BLOCK + 7, 2)
+    monkeypatch.setattr(ginet.net, "_WORKERS", 1)
+    want = m.forward(X)
+    # more runs than cores, and frequent thread switches
+    monkeypatch.setattr(ginet.net, "_WORKERS", 4)
+    results = [[], [], []]
+
+    def caller(i):
+        for _ in range(5):
+            results[i].append(m.forward(X))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(r) for r in results] == [5, 5, 5]
+    assert all(np.array_equal(got, want) for r in results for got in r)
+
+
+def test_mlp_forward_worker_error_reaches_caller(monkeypatch):
+    def failing(z):
+        raise FloatingPointError("in a worker")
+
+    m = mlp_init([2, 8, 1], "relu", SplitMix64(46), zero_last=False)
+    monkeypatch.setattr(ginet.net, "_WORKERS", 2)
+    monkeypatch.setitem(ACTIVATIONS, "relu", (*ACTIVATIONS["relu"][:2], failing))
+    with pytest.raises(FloatingPointError, match="in a worker"):
+        m.forward(np.zeros((3 * _ROW_BLOCK, 2)))
+
+
+def _forward_in_child(m, X, conn):
+    conn.send(m.forward(X))
+    conn.close()
+
+
+def test_mlp_forward_in_forked_child(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    m = _oracle_nets()[1]
+    X = SplitMix64(47).uniforms(-1, 1, 3 * _ROW_BLOCK, 2)
+    monkeypatch.setattr(ginet.net, "_WORKERS", 2)
+    want = m.forward(X)
+    assert ginet.net._POOL is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forward_in_child, args=(m, X, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "forward in the forked child did not finish"
+        assert np.array_equal(recv.recv(), want)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def test_verifiers_never_start_the_pool(tmp_path):
+    # verify and closure send MLP.forward one block at a time, so they
+    # stay on the calling thread
+    grp = tmp_path / "c5.grp"
+    grp.write_text("name = cyclic\nn = 5\n")
+    script = (
+        "import threading, ginet.net\n"
+        "from ginet.cli import main\n"
+        f"assert main(['verify', 'necessary', '--group', {str(grp)!r}]) == 0\n"
+        f"assert main(['closure', '--group', {str(grp)!r}]) == 0\n"
+        "assert main(['verify', 'vandermonde', '--n', '5', '--max-order', '1',"
+        " '--trials', '5']) == 0\n"
+        "print('threads', threading.active_count(), ginet.net._POOL is None)\n")
+    src = str(Path(ginet.net.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "threads 1 True"
 
 
 def test_mlp_width_mismatch():
@@ -373,6 +501,19 @@ def test_approximate_polynomial_exact_gadgets():
     assert report.alpha_l1 == pytest.approx(0.5)
     rng = SplitMix64(16)
     assert net.max_invariance_deviation(rng, trials=20) <= 1e-9
+
+
+@pytest.mark.parametrize("epsilon, box", [
+    (float("nan"), (-1.0, 1.0)), (float("inf"), (-1.0, 1.0)),
+    (0.1, (float("nan"), 1.0)), (0.1, (-1.0, float("nan"))),
+    (0.1, (float("-inf"), 1.0)), (0.1, (-1.0, float("inf"))),
+])
+def test_approximate_rejects_non_finite(epsilon, box):
+    G = cyclic(4)
+    p = Polynomial(4, {(1, 1, 0, 0): 1.0, (0, 1, 1, 0): 1.0,
+                       (0, 0, 1, 1): 1.0, (1, 0, 0, 1): 1.0})
+    with pytest.raises(ValueError, match="finite"):
+        approximate_polynomial(G, p, epsilon, box, eval_points=10)
 
 
 def test_approximate_constant_polynomial():
