@@ -276,7 +276,8 @@ def enumerate_supergroups(G: PermGroup, cap: int | None = None) -> list[PermGrou
     suffices. S_n is scanned in lex order and each double coset is
     extended by its lex-first element, which is also the first element
     producing its group, so the list and each group's generators are
-    those of one closure per permutation.
+    those of one closure per permutation.  A closure <G, g> repeats a
+    group K already found iff |K| == |<G, g>| and g is in K.
     """
     n = G.n
     if n > SUPERGROUP_MAX_N:
@@ -288,15 +289,13 @@ def enumerate_supergroups(G: PermGroup, cap: int | None = None) -> list[PermGrou
     gens = [a.images for a in G.generators]
     handled = {h.images for h in G}     # G itself and every double coset extended
     out: list[PermGroup] = []
-    seen: set[frozenset] = set()
     for images in itertools.permutations(range(n)):
         if images in handled:
             continue
         handled |= _double_coset(images, gens)
-        H = PermGroup.generate(n, list(G.generators) + [Permutation(images)], cap=cap)
-        key = frozenset(h.images for h in H)
-        if key not in seen:
-            seen.add(key)
+        g = Permutation(images)
+        H = PermGroup.generate(n, list(G.generators) + [g], cap=cap)
+        if not any(K.order == H.order and g in K for K in out):
             out.append(H)
     return out
 

@@ -99,8 +99,9 @@ def write_group_file(path: str, G: PermGroup) -> None:
 
 
 def parse_poly_file(path: str, n: int) -> polybasis.Polynomial:
-    """Polynomial file: ``<coeff>: e1 e2 ... en`` term lines, or a named
-    form ``name: vandermonde`` / ``name: powersum <d>``."""
+    """Polynomial file: ``<coeff>: e1 e2 ... en`` term lines and named
+    forms ``name: vandermonde`` / ``name: powersum <d>`` (d >= 1); the
+    file's polynomial is the sum of all of them."""
     terms: dict[tuple[int, ...], float] = {}
     named: polybasis.Polynomial | None = None
     try:
@@ -121,16 +122,19 @@ def parse_poly_file(path: str, n: int) -> polybasis.Polynomial:
             parts = tail.split()
             try:
                 if parts[0] == "vandermonde":
-                    named = polybasis.vandermonde(n)
+                    form = polybasis.vandermonde(n)
                 elif parts[0] == "powersum":
                     d = int(parts[1]) if len(parts) > 1 else 2
-                    named = polybasis.Polynomial(
+                    if d < 1:
+                        raise ValueError(f"powersum degree must be >= 1, got {d}")
+                    form = polybasis.Polynomial(
                         n, {tuple(d if j == i else 0 for j in range(n)): 1.0
                             for i in range(n)})
                 else:
                     raise ValueError(f"unknown named polynomial {parts[0]!r}")
             except (IndexError, ValueError) as exc:
                 raise ParseError(f"{path} line {lineno}: {exc}") from None
+            named = form if named is None else named + form
             continue
         try:
             coeff = float(head)

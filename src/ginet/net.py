@@ -27,14 +27,16 @@ stay in cache however many rows a class-sum stage sends.  Per row the
 arithmetic is that of one call over all rows (see _row_blocks).
 A call with more than one block (2 * _ROW_BLOCK rows or more, such as
 the class sums of approximate_polynomial) splits its blocks into one
-contiguous run per core and evaluates the runs at once in a shared
-thread pool; numpy's matmul and ufuncs release the GIL.  A one-block
-call (the verifiers, grad checks, single inputs) stays on the calling
-thread and never starts the pool.  Every block goes through the same
-numpy calls on either path, so the output does not depend on the core
-count.  The caller allocates the output and every run's buffers,
-because allocations in the pool threads come from per-thread malloc
-arenas and raise peak memory.
+contiguous run per worker and evaluates the runs at once in a shared
+thread pool; numpy's matmul and ufuncs release the GIL.  There are
+cores // (BLAS threads) workers (_worker_count), so pool and BLAS
+threads together do not oversubscribe the cores.  A one-block call (the
+verifiers, grad checks, single inputs) stays on the calling thread and
+never starts the pool.  Every block goes through the same numpy calls
+on either path, so the output does not depend on the worker count.
+The caller allocates the output and every run's buffers, because
+allocations in the pool threads come from per-thread malloc arenas and
+raise peak memory.
 Training keeps whole-batch arrays (_forward_cached), because the
 gradients need every activation.
 
@@ -50,7 +52,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -151,8 +153,31 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+# OpenBLAS reads its thread count from the first of these that holds a
+# positive integer
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_count(cores: int, env: Mapping[str, str]) -> int:
+    """max(1, cores // blas_threads) pool workers, so that workers times
+    the BLAS threads each of their matmuls may start stay within the
+    cores (oversubscribed, the pooled forward ran slower than the serial
+    one).  blas_threads is the first of _BLAS_THREAD_VARS that parses to
+    an integer >= 1; with none, BLAS uses every core, leaving one worker."""
+    blas_threads = cores
+    for name in _BLAS_THREAD_VARS:
+        try:
+            value = int(env.get(name, ""))
+        except ValueError:
+            continue
+        if value >= 1:
+            blas_threads = value
+            break
+    return max(1, cores // blas_threads)
+
+
 # contiguous runs of row blocks that MLP.forward evaluates at once
-_WORKERS = _cpu_count()
+_WORKERS = _worker_count(_cpu_count(), os.environ)
 _POOL = None   # MLP.forward's ThreadPoolExecutor, created on first use
 _POOL_LOCK = threading.Lock()
 
@@ -222,7 +247,7 @@ class MLP:
         The rows run through all layers one row block at a time (see
         _row_blocks), each layer writing into a per-layer buffer that is
         reused across blocks, with bias and activation applied in place.
-        With more than one block and more than one core, the blocks are
+        With more than one block and more than one worker, the blocks are
         split into _WORKERS contiguous runs that the shared thread pool
         evaluates at once (numpy's matmul and ufuncs release the GIL).
         Each block goes through the same calls on either path, so the

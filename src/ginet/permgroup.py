@@ -9,6 +9,12 @@ Groups are fully materialized by breadth-first closure of their
 generators, so membership is a dict lookup.  This is meant for desk
 scale (|G| <= n! <= 40320 in the verifier suite), not for large-degree
 group theory.
+
+Every PermGroup is the closure of its own generators, so equality,
+hashing and subgroup tests use only the order and the generators, never
+the element lists: G <= H iff every generator of G lies in H (|G|
+dividing |H|, by Lagrange, is checked first), G == H iff both act on
+the same n, |G| == |H| and G <= H, and the hash is that of (n, |G|).
 """
 
 from __future__ import annotations
@@ -191,7 +197,10 @@ class PermGroup:
     """A finitely generated subgroup of S_n, fully materialized.
 
     Elements are listed in breadth-first discovery order (identity
-    first), which is deterministic given the generator order.
+    first), which is deterministic given the generator order.  The
+    elements must be the closure of the generators (as generate builds
+    them): equality and subgroup tests read only the order and the
+    generators.
     """
 
     __slots__ = ("n", "generators", "elements", "_index")
@@ -249,11 +258,14 @@ class PermGroup:
         return isinstance(g, Permutation) and g.images in self._index
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, PermGroup) and self.n == other.n
-                and self._index.keys() == other._index.keys())
+                and self.order == other.order
+                and all(g in other for g in self.generators))
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._index)))
+        return hash((self.n, self.order))
 
     def __repr__(self) -> str:
         gens = " ".join(g.cycle_string() for g in self.generators) or "()"
@@ -262,7 +274,8 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if self.n != other.n:
             raise ValueError("groups act on different point counts")
-        return all(g in other for g in self.elements)
+        return (other.order % self.order == 0
+                and all(g in other for g in self.generators))
 
 
 def trivial(n: int, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:

@@ -103,6 +103,24 @@ def test_parse_poly_named_powersum(tmp_path):
     assert poly.terms == {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
 
 
+def test_parse_poly_named_forms_add_up(tmp_path):
+    p = tmp_path / "s.poly"
+    p.write_text("name: powersum 2\n2.0: 1 1 0\nname: powersum 3\nname: powersum 2\n")
+    poly = parse_poly_file(str(p), 3)
+    assert poly.terms == {(2, 0, 0): 2.0, (0, 2, 0): 2.0, (0, 0, 2): 2.0,
+                          (3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0,
+                          (1, 1, 0): 2.0}
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_parse_poly_powersum_degree_below_one(tmp_path, degree):
+    # powersum 0 used to collapse its n constant terms into one, giving 1
+    p = tmp_path / "s.poly"
+    p.write_text(f"1.0: 1 0 0\nname: powersum {degree}\n")
+    with pytest.raises(ParseError, match="line 2.*powersum degree must be >= 1"):
+        parse_poly_file(str(p), 3)
+
+
 def test_parse_poly_wrong_length(tmp_path):
     p = tmp_path / "bad.poly"
     p.write_text("1.0: 1 0\n")
@@ -174,6 +192,28 @@ def test_approx_command_exact(c4_file, ring_poly_file, tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["results"]["within_epsilon"] is True
     assert data["results"]["achieved_max_error"] <= 1e-10
+
+
+def test_approx_command_adds_named_forms(tmp_path, capsys):
+    grp = tmp_path / "s3.grp"
+    grp.write_text("name = symmetric\nn = 3\n")
+    poly = tmp_path / "s.poly"
+    poly.write_text("name: powersum 2\nname: powersum 3\n")
+    report = tmp_path / "r.json"
+    assert main(["approx", "--group", str(grp), "--poly", str(poly),
+                 "--epsilon", "0.05", "--exact-mul", "--eval-points", "50",
+                 "--report", str(report)]) == 0
+    assert "terms: 2 " in capsys.readouterr().out
+    terms = json.loads(report.read_text())["results"]["terms"]
+    assert sorted(t["degree"] for t in terms) == [2, 3]
+
+
+def test_approx_powersum_zero_exit2(c4_file, tmp_path, capsys):
+    poly = tmp_path / "s.poly"
+    poly.write_text("name: powersum 0\n")
+    assert main(["approx", "--group", c4_file, "--poly", str(poly),
+                 "--epsilon", "0.05", "--exact-mul"]) == 2
+    assert "line 1: powersum degree must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_closure_command(tmp_path, capsys):

@@ -32,7 +32,7 @@ from ginet.net import (
     _ROW_BLOCK,
 )
 from ginet.orbits import layer_classes, poly_classes
-from ginet.permgroup import cyclic, symmetric
+from ginet.permgroup import PermGroup, Permutation, cyclic, symmetric
 from ginet.polybasis import Polynomial, basis_polynomials
 from ginet.rng import SplitMix64
 
@@ -181,6 +181,30 @@ def test_mlp_forward_same_bits_for_any_worker_count(monkeypatch):
                     assert all(name.startswith("ginet-mlp") for name, _ in runs_seen)
                 else:
                     assert runs_seen[0][0] == threading.current_thread().name
+
+
+@pytest.mark.parametrize("cores, env, workers", [
+    (2, {}, 1),                                         # BLAS takes every core
+    (8, {}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),              # the benchmark's setting
+    (8, {"OPENBLAS_NUM_THREADS": "2"}, 4),
+    (8, {"OPENBLAS_NUM_THREADS": "3"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),              # more BLAS threads than cores
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    (4, {"GOTO_NUM_THREADS": "2"}, 2),
+    (4, {"OMP_NUM_THREADS": "1"}, 4),
+    (8, {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1",
+         "OMP_NUM_THREADS": "1"}, 4),                   # OpenBLAS's order
+    (8, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": " 1 "}, 4),
+    (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),   # 0 is unset
+    (4, {"OPENBLAS_NUM_THREADS": "-1"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "two"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "1.5", "GOTO_NUM_THREADS": "", "OMP_NUM_THREADS": "4"}, 1),
+    (4, {"MKL_NUM_THREADS": "1"}, 1),                   # not read by OpenBLAS
+])
+def test_worker_count_from_blas_threads(cores, env, workers):
+    assert ginet.net._worker_count(cores, env) == workers
 
 
 def test_mlp_forward_concurrent_callers(monkeypatch):
@@ -486,6 +510,26 @@ def test_network_stage_validation():
     with pytest.raises(ValueError, match="MLP"):
         GInvariantNetwork(G, [SumStage(np.ones(1)), ActivationStage("sigmoid")],
                           order=1)
+
+
+def test_network_stage_group_compared_by_value():
+    from ginet.equivlayers import layer_space, random_layer
+    from ginet.net import EquivStage
+    G = cyclic(4)
+    # C4 again, as a distinct object generated by the inverse rotation
+    same = PermGroup.generate(4, [Permutation.from_cycles(4, [(1, 4, 3, 2)])])
+    # the Klein four-group: also order 4, but another group
+    klein = PermGroup.generate(4, [Permutation.from_cycles(4, [(1, 2), (3, 4)]),
+                                   Permutation.from_cycles(4, [(1, 3), (2, 4)])])
+    assert same is not G and same.generators != G.generators
+    rng = SplitMix64(16)
+    x = rng.uniforms(-1, 1, 4)
+    stages = [EquivStage(random_layer(layer_space(same, 1, 1), rng)), SumStage(np.ones(1))]
+    net = GInvariantNetwork(G, stages, order=1)
+    assert net.forward(x) == pytest.approx(net.forward(G.elements[1].apply_vector(x)))
+    stages[0] = EquivStage(random_layer(layer_space(klein, 1, 1), rng))
+    with pytest.raises(ValueError, match="stage group differs"):
+        GInvariantNetwork(G, stages, order=1)
 
 
 # ------------------------------------------------------------------- approximate (exact gadgets)

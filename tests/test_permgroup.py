@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ginet.permgroup import (
     GroupTooLargeError,
@@ -285,3 +286,125 @@ def test_parse_rejects_malformed():
         Permutation.parse(4, "(1 5)")
     with pytest.raises(ValueError):
         Permutation.parse(4, "(1 1)")
+
+
+# --------------------------------------- comparisons against element sets
+
+def eq_by_elements(G, H):
+    """Oracle for PermGroup.__eq__: the same n and the same element set."""
+    return (isinstance(H, PermGroup) and G.n == H.n
+            and {g.images for g in G.elements} == {h.images for h in H.elements})
+
+
+def hash_by_elements(G):
+    """Oracle for PermGroup.__hash__: a hash of the element set."""
+    return hash((G.n, frozenset(g.images for g in G.elements)))
+
+
+def subgroup_by_elements(G, H):
+    """Oracle for PermGroup.is_subgroup_of: every element of G lies in H."""
+    if G.n != H.n:
+        raise ValueError("groups act on different point counts")
+    return all(g in H for g in G.elements)
+
+
+def assert_comparisons_match_oracles(G, H):
+    assert (G == H) == eq_by_elements(G, H)
+    assert (G != H) == (not eq_by_elements(G, H))
+    assert hash(G) == hash((G.n, G.order))
+    if hash_by_elements(G) == hash_by_elements(H) or eq_by_elements(G, H):
+        assert hash(G) == hash(H)
+    if G.n == H.n:
+        assert G.is_subgroup_of(H) == subgroup_by_elements(G, H)
+    else:
+        with pytest.raises(ValueError):
+            G.is_subgroup_of(H)
+
+
+NAMED_GROUPS = ([f(n) for n in range(1, 7)
+                 for f in (trivial, cyclic, dihedral, alternating, symmetric)]
+                + [grid((2, 2)), grid((2, 3))])
+
+
+def test_comparisons_match_oracles_on_named_groups():
+    equal_pairs = 0
+    for G in NAMED_GROUPS:
+        for H in NAMED_GROUPS:
+            assert_comparisons_match_oracles(G, H)
+            equal_pairs += G is not H and G == H
+    # e.g. cyclic(2) == symmetric(2), alternating(3) == cyclic(3),
+    # dihedral(3) == symmetric(3): distinct objects, different generators
+    assert equal_pairs > 0
+
+
+@st.composite
+def generator_set_pairs(draw):
+    n = draw(st.integers(1, 6))
+    gens = st.lists(st.permutations(range(n)), max_size=3)
+    G = PermGroup.generate(n, [Permutation(g) for g in draw(gens)])
+    H = PermGroup.generate(n, [Permutation(g) for g in draw(gens)])
+    # <G, H> contains both, so subgroup answers come out true as well
+    return G, H, PermGroup.generate(n, G.generators + H.generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_set_pairs())
+def test_comparisons_match_oracles_on_random_groups(groups):
+    for G in groups:
+        for H in groups:
+            assert_comparisons_match_oracles(G, H)
+    G, H, J = groups
+    assert G.is_subgroup_of(J) and H.is_subgroup_of(J)
+
+
+def test_same_group_from_different_generators():
+    same = [
+        (symmetric(4), [perm(4, "(1 2)"), perm(4, "(2 3)"), perm(4, "(3 4)")]),
+        (symmetric(4), [perm(4, "(1 2 3 4)"), perm(4, "(1 2)")]),   # reordered
+        (alternating(4), [perm(4, "(1 2)(3 4)"), perm(4, "(1 2 3)")]),
+        (dihedral(4), [perm(4, "(1 3)"), perm(4, "(1 2 3 4)"), perm(4, "()")]),
+        (cyclic(6), [perm(6, "(1 5 3)(2 6 4)"), perm(6, "(1 4)(2 5)(3 6)")]),
+    ]
+    for G, gens in same:
+        H = PermGroup.generate(G.n, gens)
+        assert H.generators != G.generators
+        assert G == H and H == G and hash(G) == hash(H)
+        assert G.is_subgroup_of(H) and H.is_subgroup_of(G)
+        assert len({G, H}) == 1
+        assert_comparisons_match_oracles(G, H)
+        assert_comparisons_match_oracles(H, G)
+
+
+def test_equal_orders_different_groups():
+    a = PermGroup.generate(4, [perm(4, "(1 2)")])
+    b = PermGroup.generate(4, [perm(4, "(3 4)")])
+    c = PermGroup.generate(4, [perm(4, "(1 2)(3 4)")])
+    for G, H in ((a, b), (a, c), (b, c)):
+        assert G.order == H.order and G != H and not G.is_subgroup_of(H)
+        assert_comparisons_match_oracles(G, H)
+    assert len({a, b, c}) == 3
+    # the conjugate copies of A_4 in the point stabilisers of S_5
+    copies = []
+    for fixed in range(1, 6):
+        pts = [p for p in range(1, 6) if p != fixed]
+        copies.append(PermGroup.generate(5, [
+            Permutation.from_cycles(5, [pts[:3]]),
+            Permutation.from_cycles(5, [pts[1:]])]))
+    assert all(A.order == 12 for A in copies)
+    for i, A in enumerate(copies):
+        assert A.is_subgroup_of(alternating(5)) and A.is_subgroup_of(symmetric(5))
+        for j, B in enumerate(copies):
+            assert (A == B) == (i == j)
+            assert A.is_subgroup_of(B) == (i == j)
+            assert_comparisons_match_oracles(A, B)
+
+
+def test_groups_on_different_point_counts():
+    pairs = [(trivial(3), trivial(4)), (cyclic(4), cyclic(5)),
+             (symmetric(2), PermGroup.generate(3, [perm(3, "(1 2)")]))]
+    for G, H in pairs:
+        assert G != H and H != G
+        with pytest.raises(ValueError, match="point counts"):
+            G.is_subgroup_of(H)
+        assert_comparisons_match_oracles(G, H)
+    assert cyclic(4) != "cyclic(4)" and cyclic(4) != cyclic(4).elements
