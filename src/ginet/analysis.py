@@ -214,7 +214,7 @@ def two_closure(G: PermGroup) -> PermGroup:
     The members are found by a backtracking search over partial maps
     (see ``_coloring_automorphisms``) in lexicographic order, and a
     generating set is picked greedily from them in that order; capped at
-    n <= 8 because the closure is materialized in full.
+    n <= 8 because the search lists every member.
     """
     n = G.n
     if n > TWO_CLOSURE_MAX_N:
@@ -223,10 +223,13 @@ def two_closure(G: PermGroup) -> PermGroup:
     # the search yields permutations only, so skip Permutation's check
     members = [Permutation._trusted(images)
                for images in _coloring_automorphisms(coloring)]
-    # find a small generating set, scanning in lex order
+    # find a small generating set, scanning in lex order; once the closure
+    # has every member, no later member can add a generator
     gens: list[Permutation] = []
     closure = PermGroup.generate(n, gens)
     for h in members:
+        if closure.order == len(members):
+            break
         if h not in closure:
             gens.append(h)
             closure = PermGroup.generate(n, gens)

@@ -37,13 +37,15 @@ class VerificationFailure(RuntimeError):
 # ------------------------------------------------------------- file formats
 
 def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
-    """Group file: ``n = <int>`` plus ``gen: <cycles>`` lines, or a named
-    shortcut (``name = symmetric|alternating|cyclic|dihedral|trivial`` with
-    ``n``, or ``name = grid`` with ``dims = 2 3``).  ``#`` comments and
-    blank lines are ignored."""
+    """Group file: ``n = <int>`` (n >= 1) plus ``gen: <cycles>`` lines, or
+    a named shortcut (``name = symmetric|alternating|cyclic|dihedral|trivial``
+    with ``n``, or ``name = grid`` with ``dims = 2 3``); a named group
+    takes no ``gen`` lines, and only ``grid`` takes ``dims``.  ``#``
+    comments and blank lines are ignored."""
     n = None
     name = None
     dims = None
+    dims_line = None
     gens: list[tuple[int, str]] = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -65,17 +67,26 @@ def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
         try:
             if key == "n":
                 n = int(value)
+                if n < 1:
+                    raise ValueError(f"n must be >= 1, got {n}")
             elif key == "name":
                 name = value.lower()
             elif key == "dims":
                 dims = [int(v) for v in value.split()]
+                dims_line = lineno
             elif key == "gen":
                 gens.append((lineno, value))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ParseError(f"{path} line {lineno}: {exc}") from None
+    if dims is not None and name != "grid":
+        raise ParseError(f"{path} line {dims_line}: 'dims' applies only to "
+                         f"name = grid, not {name or 'a generator list'}")
     if name is not None:
+        if gens:
+            raise ParseError(f"{path} line {gens[0][0]}: a named group "
+                             f"({name}) takes no 'gen' lines")
         try:
             return named_group(name, n=n, dims=dims, cap=cap)
         except ValueError as exc:

@@ -5,10 +5,13 @@ Indices are 0-based internally; cycle notation at the I/O boundary is
 is (g.x)_i = x_{g^-1(i)} and the tensor action applies g^-1 to every
 index axis, features untouched.
 
-Groups are fully materialized by breadth-first closure of their
-generators, so membership is a dict lookup.  This is meant for desk
-scale (|G| <= n! <= 40320 in the verifier suite), not for large-degree
-group theory.
+A group is held as a stabilizer chain, built from its generators by
+incremental Schreier-Sims (Sims 1970; Seress, Permutation Group
+Algorithms, 2003), so its order is a product of orbit lengths and
+membership is a sift, one composition per level, with no element listed.
+The elements themselves are listed only on demand, by breadth-first
+closure of the generators.  This is meant for desk scale (the group cap
+still bounds the order), not for large-degree group theory.
 
 Every PermGroup is the closure of its own generators, so equality,
 hashing and subgroup tests use only the order and the generators, never
@@ -113,10 +116,7 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r}, n={self.n})"
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(inv)
+        return Permutation._trusted(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == img for i, img in enumerate(self.images))
@@ -193,30 +193,140 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation._trusted(tuple(map(p.images.__getitem__, q.images)))
 
 
-class PermGroup:
-    """A finitely generated subgroup of S_n, fully materialized.
+def _breadth_first(n: int, gen_images: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The closure of the generators as image tuples, identity first, in
+    breadth-first discovery order (deterministic given the generator order)."""
+    identity = tuple(range(n))
+    yield identity
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            for g in gen_images:
+                h = tuple(map(g.__getitem__, e))    # the images of g * e
+                if h not in seen:
+                    seen.add(h)
+                    yield h
+                    new_frontier.append(h)
+        frontier = new_frontier
 
-    Elements are listed in breadth-first discovery order (identity
-    first), which is deterministic given the generator order.  The
-    elements must be the closure of the generators (as generate builds
-    them): equality and subgroup tests read only the order and the
+
+def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for i, image in enumerate(images):
+        inv[image] = i
+    return tuple(inv)
+
+
+class _Level:
+    """One level of a stabilizer chain: the stabilizer of the earlier base
+    points, given by its strong generators, and the orbit of this level's
+    base point with a coset representative u (u(base) = point) and its
+    inverse for every orbit point."""
+
+    __slots__ = ("base", "gens", "applied", "orbit", "reps", "inverses")
+
+    def __init__(self, base: int, identity: tuple[int, ...]):
+        self.base = base
+        self.gens: list[tuple[int, ...]] = []
+        self.applied = 0        # gens[:applied] have been applied to every orbit point
+        self.orbit = [base]
+        self.reps = {base: identity}
+        self.inverses = {base: identity}
+
+
+class _StabilizerChain:
+    """A base and strong generating set, built by incremental
+    Schreier-Sims; permutations are image tuples."""
+
+    __slots__ = ("identity", "levels", "order")
+
+    def __init__(self, n: int, gen_images: Iterable[tuple[int, ...]]):
+        self.identity = tuple(range(n))
+        self.levels: list[_Level] = []
+        for g in gen_images:
+            self._add(g, 0)
+        self.order = math.prod(len(level.orbit) for level in self.levels)
+
+    def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+        """Strip g by the representatives of levels start, start+1, ...;
+        return the residual and the level where it left the orbit
+        (len(levels) if it passed every level)."""
+        for j in range(start, len(self.levels)):
+            level = self.levels[j]
+            inverse = level.inverses.get(g[level.base])
+            if inverse is None:
+                return g, j
+            g = tuple(map(inverse.__getitem__, g))
+        return g, len(self.levels)
+
+    def _add(self, g: tuple[int, ...], start: int) -> None:
+        """Extend levels start.. (g fixes the earlier base points) to a
+        chain for the group they generate together with g."""
+        h, j = self.sift(g, start)
+        if h == self.identity:
+            return
+        if j == len(self.levels):
+            moved = next(i for i, image in enumerate(h) if i != image)
+            self.levels.append(_Level(moved, self.identity))
+        # h fixes the base points of levels start..j-1, so it belongs to the
+        # stabilizer at each of them, not only at the level where it stopped
+        for level in self.levels[start:j + 1]:
+            level.gens.append(h)
+        for i in range(j, start - 1, -1):
+            self._close(i)
+
+    def _close(self, i: int) -> None:
+        """Grow level i's orbit under its generators and sift every new
+        Schreier generator into the levels below it."""
+        level = self.levels[i]
+        old_points, old_gens = len(level.orbit), level.applied
+        k = 0
+        while k < len(level.orbit):
+            u = level.reps[level.orbit[k]]
+            for s in level.gens[old_gens if k < old_points else 0:]:
+                su = tuple(map(s.__getitem__, u))
+                point = su[level.base]
+                inverse = level.inverses.get(point)
+                if inverse is None:
+                    level.orbit.append(point)
+                    level.reps[point] = su
+                    level.inverses[point] = _invert(su)
+                else:
+                    self._add(tuple(map(inverse.__getitem__, su)), i + 1)
+            k += 1
+        level.applied = len(level.gens)
+
+    def __contains__(self, g: tuple[int, ...]) -> bool:
+        return self.sift(g)[0] == self.identity
+
+
+class PermGroup:
+    """A finitely generated subgroup of S_n, held as a stabilizer chain.
+
+    The order and membership come from the chain.  The elements are
+    listed on first use, in breadth-first discovery order (identity
+    first), which is deterministic given the generator order; iteration
+    yields the same sequence lazily, so a consumer that stops early runs
+    only part of the search.  Every group is the closure of its own
+    generators: equality and subgroup tests read only the order and the
     generators.
     """
 
-    __slots__ = ("n", "generators", "elements", "_index")
+    __slots__ = ("n", "generators", "_chain", "_elements")
 
-    def __init__(self, n: int, generators: Sequence[Permutation],
-                 elements: Sequence[Permutation]):
+    def __init__(self, n: int, generators: Sequence[Permutation]):
         self.n = n
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._index = {g.images: i for i, g in enumerate(self.elements)}
-        assert Permutation.identity(n).images in self._index
+        self._chain = _StabilizerChain(n, (g.images for g in self.generators))
+        self._elements: tuple[Permutation, ...] | None = None
 
     @classmethod
     def generate(cls, n: int, generators: Iterable[Permutation],
                  cap: int = DEFAULT_GROUP_CAP) -> "PermGroup":
-        """Closure of the generators under composition, breadth-first."""
+        """The group generated by the generators; raises GroupTooLargeError
+        when its order exceeds cap, before any element is listed."""
         if cap < 1:
             raise ValueError("cap must be >= 1")
         gens = []
@@ -224,38 +334,41 @@ class PermGroup:
             if g.n != n:
                 raise ValueError(f"generator acts on {g.n} points, expected {n}")
             gens.append(g)
-        identity = Permutation.identity(n)
-        elements = [identity]
-        seen = {identity.images}
-        frontier = [identity.images]
-        gen_images = [g.images for g in gens]
-        while frontier:
-            new_frontier = []
-            for e in frontier:
-                for g in gen_images:
-                    h = tuple(map(g.__getitem__, e))    # the images of g * e
-                    if h not in seen:
-                        seen.add(h)
-                        elements.append(Permutation._trusted(h))
-                        new_frontier.append(h)
-                        if len(elements) > cap:
-                            raise GroupTooLargeError(
-                                f"group closure exceeds cap of {cap} elements")
-            frontier = new_frontier
-        return cls(n, gens, elements)
+        group = cls(n, gens)
+        if group.order > cap:
+            raise GroupTooLargeError(f"group closure exceeds cap of {cap} elements")
+        return group
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self._chain.order
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            self._elements = tuple(self._list())
+        return self._elements
+
+    def _list(self) -> Iterator[Permutation]:
+        """List the elements lazily; a listing that runs to the end is cached."""
+        listed = []
+        for images in _breadth_first(self.n, [g.images for g in self.generators]):
+            g = Permutation._trusted(images)
+            listed.append(g)
+            yield g
+        self._elements = tuple(listed)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
+        if self._elements is not None:
+            return iter(self._elements)
+        return self._list()
 
     def __contains__(self, g: Permutation) -> bool:
-        return isinstance(g, Permutation) and g.images in self._index
+        return (isinstance(g, Permutation) and g.n == self.n
+                and g.images in self._chain)
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -72,6 +73,27 @@ def test_parse_group_missing_n(tmp_path):
     p.write_text("gen: (1 2)\n")
     with pytest.raises(ParseError, match="missing"):
         parse_group_file(str(p))
+
+
+# each of these used to give a group (C4 without the generator, a group
+# without the dims, an empty degree-0 "group") or to leak numpy's
+# "negative dimensions are not allowed" on the way to one
+@pytest.mark.parametrize("text, message", [
+    ("name = cyclic\nn = 4\ngen: (1 2)\n", "line 3: a named group .* no 'gen' lines"),
+    ("gen: (1 2)\nname = cyclic\nn = 4\n", "line 1: a named group .* no 'gen' lines"),
+    ("name = cyclic\nn = 4\ndims = 2 2\n", "line 3: 'dims' applies only to name = grid"),
+    ("n = 4\ngen: (1 2)\ndims = 2 2\n", "line 3: 'dims' applies only to name = grid"),
+    ("n = -3\ngen: (1 2)\n", "line 1: n must be >= 1, got -3"),
+    ("name = symmetric\nn = -3\n", "line 2: n must be >= 1, got -3"),
+    ("n = 0\n", "line 1: n must be >= 1, got 0"),
+])
+def test_parse_group_rejects_inconsistent_files(tmp_path, capsys, text, message):
+    p = tmp_path / "bad.grp"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        parse_group_file(str(p))
+    assert main(["closure", "--group", str(p)]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_group_roundtrip(tmp_path):

@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginet import permgroup
 from ginet.permgroup import (
     GroupTooLargeError,
     PermGroup,
@@ -171,7 +175,9 @@ def test_generation_deterministic_order():
 
 def closure_by_validated_products(n, gens):
     """Breadth-first closure that builds every product through the
-    validating Permutation constructor: the reference for generate."""
+    validating Permutation constructor: the closure generate ran before
+    groups were held as stabilizer chains, and the reference for the
+    chain's order, membership and element listing."""
     identity = Permutation.identity(n)
     elements, seen, frontier = [identity], {identity.images}, [identity]
     while frontier:
@@ -408,3 +414,139 @@ def test_groups_on_different_point_counts():
             G.is_subgroup_of(H)
         assert_comparisons_match_oracles(G, H)
     assert cyclic(4) != "cyclic(4)" and cyclic(4) != cyclic(4).elements
+
+
+# ------------------------------------ stabilizer chain against the closure
+
+def assert_chain_matches_closure(G):
+    """Order, membership over all of S_n and the element listing of G
+    against the breadth-first closure of its generators."""
+    want = [w.images for w in closure_by_validated_products(G.n, G.generators)]
+    members = set(want)
+    assert G.order == len(G) == len(want)
+    assert [g.images for g in G] == want                 # lazy iteration
+    assert [g.images for g in G.elements] == want        # the cached listing
+    assert [g.images for g in G] == want                 # from the cache
+    for images in itertools.permutations(range(G.n)):
+        assert (Permutation._trusted(images) in G) == (images in members)
+
+
+def assert_comparisons_match_closure(G, H):
+    """__eq__ and is_subgroup_of against the element sets of the closures."""
+    g_set = {w.images for w in closure_by_validated_products(G.n, G.generators)}
+    h_set = {w.images for w in closure_by_validated_products(H.n, H.generators)}
+    assert (G == H) == (G.n == H.n and g_set == h_set)
+    if G.n == H.n:
+        assert G.is_subgroup_of(H) == (g_set <= h_set)
+
+
+SMALL_GROUPS = NAMED_GROUPS + [grid((3, 2)), grid((1, 4)), grid((2, 1, 2))]
+
+
+@pytest.mark.parametrize("G", SMALL_GROUPS, ids=repr)
+def test_chain_matches_closure_on_named_groups(G):
+    assert_chain_matches_closure(G)
+    for H in SMALL_GROUPS:
+        if H.n == G.n:
+            assert_comparisons_match_closure(G, H)
+
+
+@st.composite
+def generator_set_triples(draw):
+    n = draw(st.integers(1, 7))
+    gens = st.lists(st.permutations(range(n)), max_size=3)
+    return [PermGroup.generate(n, [Permutation(g) for g in draw(gens)])
+            for _ in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_set_triples())
+def test_chain_matches_closure_on_random_groups(groups):
+    for G in groups:
+        assert_chain_matches_closure(G)
+        for H in groups:
+            assert_comparisons_match_closure(G, H)
+
+
+def test_chain_residual_joins_every_level_it_passed():
+    # a residual that stops at a lower level must be added to the upper
+    # levels it passed too; adding it to its own level only gives order 4
+    gens = [perm(4, "(1 4)(2 3)"), perm(4, "(3 4)"), perm(4, "(1 4 2 3)")]
+    groups = [PermGroup.generate(4, ordered) for ordered in itertools.permutations(gens)]
+    for G in groups:
+        assert G.order == 8 and G == groups[0]
+        assert_chain_matches_closure(G)
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """Count the breadth-first listings started and the elements they yield."""
+    counts = {"listings": 0, "elements": 0}
+    bfs = permgroup._breadth_first
+
+    def counting(n, gen_images):
+        counts["listings"] += 1
+        for images in bfs(n, gen_images):
+            counts["elements"] += 1
+            yield images
+
+    monkeypatch.setattr(permgroup, "_breadth_first", counting)
+    return counts
+
+
+M11_GENS = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: symmetric(12, cap=10**9), math.factorial(12)),
+    (lambda: alternating(12, cap=10**9), math.factorial(12) // 2),
+    (lambda: PermGroup.generate(11, [perm(11, c) for c in M11_GENS]), 7920),
+    (lambda: PermGroup.generate(
+        12, [perm(12, c) for c in M11_GENS + ["(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"]]),
+     95040),
+], ids=["S12", "A12", "M11", "M12"])
+def test_known_orders_without_listing(build, order, listings):
+    G = build()
+    assert G.order == len(G) == order
+    assert all(g in G for g in G.generators)
+    assert listings == {"listings": 0, "elements": 0}
+
+
+def test_mathieu_membership():
+    m11 = [perm(11, c) for c in M11_GENS]
+    M11 = PermGroup.generate(11, m11)
+    assert compose(m11[0], m11[1]) in M11
+    assert perm(11, "(1 2)") not in M11           # M11 is inside A11
+    assert perm(11, "(1 2 3)") not in M11         # 3-cycles would give A11
+    assert M11.is_subgroup_of(alternating(11, cap=10**8))
+
+
+def test_membership_rejects_other_point_counts_and_non_permutations():
+    G = symmetric(4)
+    assert perm(4, "(1 2)") in G
+    for other in (perm(3, "(1 2)"), perm(5, "(1 2)"), Permutation.identity(5),
+                  Permutation.identity(3), (1, 0, 2, 3), "(1 2)", None):
+        assert other not in G
+    assert Permutation.identity(0) in trivial(0)
+
+
+def test_default_cap_rejects_s10_without_listing(listings):
+    with pytest.raises(GroupTooLargeError, match="group closure exceeds cap of 1000000"):
+        symmetric(10)
+    assert listings == {"listings": 0, "elements": 0}
+
+
+def test_early_stop_lists_part_of_the_group(listings):
+    G = symmetric(8)
+    first = list(itertools.islice(G, 5))
+    assert [g.images for g in first] == [
+        w.images for w in closure_by_validated_products(8, G.generators)[:5]]
+    assert listings == {"listings": 1, "elements": 5}
+    # witnesses outside a subgroup come after a short search too
+    A = alternating(8)
+    odd = next(g for g in G if g not in A)
+    assert not odd.is_even() and listings["elements"] < 20
+    # a listing run to the end is cached, and later iterations reuse it
+    C = cyclic(8)
+    assert len(list(C)) == 8 and list(C) == list(C.elements)
+    assert listings["listings"] == 3
