@@ -40,9 +40,11 @@ def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
     """Group file: ``n = <int>`` (n >= 1) plus ``gen: <cycles>`` lines, or
     a named shortcut (``name = symmetric|alternating|cyclic|dihedral|trivial``
     with ``n``, or ``name = grid`` with ``dims = 2 3``); a named group
-    takes no ``gen`` lines, and only ``grid`` takes ``dims``.  ``#``
+    takes no ``gen`` lines, only ``grid`` takes ``dims``, and a grid's
+    ``n``, if given, is the product of its dims.  ``#``
     comments and blank lines are ignored."""
     n = None
+    n_line = None
     name = None
     dims = None
     dims_line = None
@@ -67,6 +69,7 @@ def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
         try:
             if key == "n":
                 n = int(value)
+                n_line = lineno
                 if n < 1:
                     raise ValueError(f"n must be >= 1, got {n}")
             elif key == "name":
@@ -83,6 +86,9 @@ def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
     if dims is not None and name != "grid":
         raise ParseError(f"{path} line {dims_line}: 'dims' applies only to "
                          f"name = grid, not {name or 'a generator list'}")
+    if name == "grid" and n is not None and dims and n != math.prod(dims):
+        raise ParseError(f"{path} line {n_line}: n = {n} differs from "
+                         f"{math.prod(dims)}, the product of dims")
     if name is not None:
         if gens:
             raise ParseError(f"{path} line {gens[0][0]}: a named group "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import CapExceededError, OrbitPartition, layer_classes, tuple_cap
+from .orbits import OrbitPartition, _check_cap, layer_classes
 from .permgroup import PermGroup
 from .rng import SplitMix64
 
@@ -127,10 +127,7 @@ class EquivariantLayer:
         sp = self.space
         n = sp.n
         rows_in, rows_out = n**sp.k, n**sp.l
-        size = rows_out * rows_in * sp.a * sp.b
-        limit = tuple_cap() if cap is None else cap
-        if size > limit:
-            raise CapExceededError(f"dense layer has {size} entries, over cap {limit}")
+        _check_cap(rows_out * rows_in * sp.a * sp.b, cap, "dense layer entries")
         cid = sp.linear_partition.class_id.reshape(rows_out, rows_in)
         dense = self.linear_coeffs[cid]                     # (out, in, a, b)
         matrix = dense.transpose(0, 3, 1, 2).reshape(rows_out * sp.b, rows_in * sp.a)

@@ -9,14 +9,19 @@ reordered factors identical; its classes index the invariant-polynomial
 basis.
 
 Tuples are encoded as base-n integers, first digit most significant, so
-code order equals lexicographic order on digits.  Classes are computed
-by union-find driven only by the group's generators and relabeled so
-class ids ascend with their representatives' codes; the result is
-deterministic and independent of generator order.
+code order equals lexicographic order on digits.  Each generator (and,
+for the polynomial relation, each adjacent swap of positions) acts on
+the codes as one permutation array, its code map.  Classes are found by
+min-label propagation over the code maps: every code's label falls to
+the least label among its images, then jumps to its label's label,
+until nothing changes.  The labels are then the least codes of their
+classes, which serve as representatives, and class ids ascend with
+them; the result is deterministic and independent of generator order.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -61,32 +66,6 @@ def decode(code: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1; path halving, union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     """A partition of [n]^k; class ids ascend with representative codes."""
@@ -102,6 +81,8 @@ class OrbitPartition:
         """Class id of a tuple given as a digit sequence or a code."""
         if isinstance(t, (int, np.integer)):
             code = int(t)
+        elif len(t) != self.k:
+            raise ValueError(f"tuple {tuple(t)} has length {len(t)}, expected k = {self.k}")
         else:
             code = encode(t, self.n)
         if not 0 <= code < self.class_id.shape[0]:
@@ -116,105 +97,82 @@ class OrbitPartition:
         return np.bincount(self.class_id, minlength=self.num_classes)
 
 
-def _check_cap(n: int, k: int, cap: int | None) -> int:
+def _check_cap(size: int, cap: int | None, what: str) -> int:
+    """size, once the cap (default tuple_cap()) is >= 1 and size is within it."""
     limit = tuple_cap() if cap is None else cap
-    total = n**k
-    if total > limit:
+    if limit < 1:
+        raise ValueError(f"the tuple cap must be >= 1, got {limit}")
+    if size > limit:
         raise CapExceededError(
-            f"n^k = {n}^{k} = {total} exceeds the tuple cap {limit} "
+            f"{what} = {size} exceeds the tuple cap {limit} "
             f"(override with {_CAP_ENV} or an explicit cap)")
-    return total
+    return size
 
 
-def _digit_table(n: int, k: int) -> np.ndarray:
-    """(n^k, k) array whose row c holds decode(c); row order is code order."""
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.indices((n,) * k).reshape(k, -1).T.astype(np.int64)
+def _num_tuples(n: int, k: int, cap: int | None) -> int:
+    """n^k, once k >= 0 and n^k is within the cap."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return _check_cap(n**k, cap, f"n^k = {n}^{k}")
 
 
-def _code_weights(n: int, k: int) -> np.ndarray:
-    return np.array([n ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-
-
-def _finish(n: int, k: int, kind: str, uf: UnionFind, total: int) -> OrbitPartition:
-    class_id = np.empty(total, dtype=np.int64)
-    reps: list[tuple[int, ...]] = []
-    root_label: dict[int, int] = {}
-    for code in range(total):
-        root = uf.find(code)
-        label = root_label.get(root)
-        if label is None:
-            label = len(reps)
-            root_label[root] = label
-            reps.append(decode(code, n, k))
-        class_id[code] = label
+def _orbit_partition(n: int, k: int, kind: str, maps: list[np.ndarray]) -> OrbitPartition:
+    """Classes of the codes 0..n^k-1 under the code permutations in maps."""
+    codes = np.arange(n**k, dtype=np.int64)
+    label = codes
+    while True:
+        before = label
+        for m in maps:
+            label = np.minimum(label, label[m])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    # label[c] is now the least code in c's class
+    is_least = label == codes
+    class_id = (np.cumsum(is_least, dtype=np.int64) - 1)[label]
     class_id.flags.writeable = False
+    reps = tuple(decode(int(c), n, k) for c in np.flatnonzero(is_least))
     return OrbitPartition(n=n, k=k, kind=kind, class_id=class_id,
-                          num_classes=len(reps), representatives=tuple(reps))
-
-
-def _union_generator_maps(uf: UnionFind, digits: np.ndarray, weights: np.ndarray,
-                          image_maps: list[np.ndarray]) -> None:
-    total = digits.shape[0]
-    for images in image_maps:
-        if digits.shape[1] == 0:
-            continue
-        mapped = (images[digits] * weights).sum(axis=1)
-        for code in range(total):
-            uf.union(code, int(mapped[code]))
+                          num_classes=len(reps), representatives=reps)
 
 
 def layer_classes(G: PermGroup, k: int, cap: int | None = None) -> OrbitPartition:
     """Orbits of [n]^k under the diagonal action of G's generators."""
-    total = _check_cap(G.n, k, cap)
-    digits = _digit_table(G.n, k)
-    weights = _code_weights(G.n, k)
-    uf = UnionFind(total)
-    maps = [np.array(g.images, dtype=np.int64) for g in G.generators]
-    _union_generator_maps(uf, digits, weights, maps)
-    return _finish(G.n, k, LAYER, uf, total)
+    _num_tuples(G.n, k, cap)
+    maps = [tuple_action_codes(g, G.n, k) for g in G.generators]
+    return _orbit_partition(G.n, k, LAYER, maps)
 
 
 def poly_classes(G: PermGroup, k: int, cap: int | None = None) -> OrbitPartition:
     """Orbits of [n]^k under G jointly with permutations of tuple positions.
 
     Position permutations are generated by the k-1 adjacent
-    transpositions, added as extra union-find moves.
+    transpositions, added as extra code maps.
     """
-    total = _check_cap(G.n, k, cap)
-    digits = _digit_table(G.n, k)
-    weights = _code_weights(G.n, k)
-    uf = UnionFind(total)
-    maps = [np.array(g.images, dtype=np.int64) for g in G.generators]
-    _union_generator_maps(uf, digits, weights, maps)
-    for j in range(k - 1):
-        cols = list(range(k))
-        cols[j], cols[j + 1] = cols[j + 1], cols[j]
-        swapped = (digits[:, cols] * weights).sum(axis=1)
-        for code in range(total):
-            uf.union(code, int(swapped[code]))
-    return _finish(G.n, k, POLYNOMIAL, uf, total)
+    n = G.n
+    total = _num_tuples(n, k, cap)
+    maps = [tuple_action_codes(g, n, k) for g in G.generators]
+    maps += [np.arange(total).reshape(n**j, n, n, -1).swapaxes(1, 2).reshape(-1)
+             for j in range(k - 1)]
+    return _orbit_partition(n, k, POLYNOMIAL, maps)
 
 
 def equality_pattern_partition(n: int, k: int, cap: int | None = None) -> OrbitPartition:
     """Tuples identified iff their coordinates share the same equality pattern.
 
-    (i_a = i_b <-> j_a = j_b for all positions a,b.)  For n >= k this is
-    exactly the S_n layer partition, with one class per set partition of
-    the k positions.
+    (i_a = i_b <-> j_a = j_b for all positions a,b.)  This is exactly
+    the S_n layer partition for every n, with one class per set
+    partition of the k positions into at most n blocks.  It walks the
+    tuples in Python, independently of the code maps, as a reference.
     """
-    total = _check_cap(n, k, cap)
-    digits = _digit_table(n, k)
+    total = _num_tuples(n, k, cap)
     class_id = np.empty(total, dtype=np.int64)
     reps: list[tuple[int, ...]] = []
     pattern_label: dict[tuple[int, ...], int] = {}
-    for code in range(total):
-        row = digits[code]
+    for code, row in enumerate(itertools.product(range(n), repeat=k)):
         first_seen: dict[int, int] = {}
         pattern = []
         for d in row:
-            d = int(d)
             if d not in first_seen:
                 first_seen[d] = len(first_seen)
             pattern.append(first_seen[d])
@@ -223,7 +181,7 @@ def equality_pattern_partition(n: int, k: int, cap: int | None = None) -> OrbitP
         if label is None:
             label = len(reps)
             pattern_label[key] = label
-            reps.append(tuple(int(d) for d in row))
+            reps.append(row)
         class_id[code] = label
     class_id.flags.writeable = False
     return OrbitPartition(n=n, k=k, kind=EQUALITY, class_id=class_id,
@@ -237,9 +195,8 @@ def orbit_count_squared(G: PermGroup) -> int:
 
 def tuple_action_codes(g, n: int, k: int) -> np.ndarray:
     """m with m[code(t)] = code(g(t)): the generator move on flat codes."""
-    digits = _digit_table(n, k)
-    weights = _code_weights(n, k)
-    images = np.array(g.images, dtype=np.int64)
-    if k == 0:
-        return np.zeros(1, dtype=np.int64)
-    return (images[digits] * weights).sum(axis=1)
+    images = np.asarray(g.images, dtype=np.int64)
+    m = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        m = (m[:, None] * n + images).reshape(-1)
+    return m

@@ -86,6 +86,7 @@ def test_parse_group_missing_n(tmp_path):
     ("n = -3\ngen: (1 2)\n", "line 1: n must be >= 1, got -3"),
     ("name = symmetric\nn = -3\n", "line 2: n must be >= 1, got -3"),
     ("n = 0\n", "line 1: n must be >= 1, got 0"),
+    ("name = grid\nn = 7\ndims = 2 3\n", "line 2: n = 7 differs from 6, the product of dims"),
 ])
 def test_parse_group_rejects_inconsistent_files(tmp_path, capsys, text, message):
     p = tmp_path / "bad.grp"
@@ -316,6 +317,21 @@ def test_usage_error_exit2():
 def test_tuple_cap_exit3(c4_file, capsys):
     assert main(["orbits", "--group", c4_file, "--k", "12", "--cap", "100"]) == 3
     assert "resource limit exceeded" in capsys.readouterr().err
+
+
+# these used to leak numpy's "can only specify one unknown dimension"
+# (k < 0) or exit 3 as a resource limit (cap < 1)
+@pytest.mark.parametrize("argv, env, message", [
+    (["--k", "-1"], None, "k must be >= 0, got -1"),
+    (["--k", "2", "--cap", "-5"], None, "tuple cap must be >= 1, got -5"),
+    (["--k", "2"], "0", "tuple cap must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("kind", ["layer", "poly"])
+def test_orbits_bad_k_or_cap_exit2(c4_file, monkeypatch, capsys, argv, env, message, kind):
+    if env is not None:
+        monkeypatch.setenv("GINET_CAP_TUPLES", env)
+    assert main(["orbits", "--group", c4_file, "--kind", kind, *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [GroupTooLargeError("group closure exceeds cap"),

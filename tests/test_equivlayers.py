@@ -185,6 +185,8 @@ def test_materialize_dense_cap():
     L = zero_layer(sp)
     with pytest.raises(CapExceededError):
         L.materialize_dense(cap=10)
+    with pytest.raises(ValueError, match="tuple cap must be >= 1"):
+        L.materialize_dense(cap=0)
 
 
 # ------------------------------------------------------------ monomial factor layers

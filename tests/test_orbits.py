@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ginet.orbits import (
     CapExceededError,
@@ -11,6 +12,7 @@ from ginet.orbits import (
     layer_classes,
     orbit_count_squared,
     poly_classes,
+    tuple_action_codes,
 )
 from ginet.permgroup import (
     PermGroup,
@@ -27,7 +29,7 @@ from ginet.permgroup import (
 
 def brute_force_classes(G, k, positions=False):
     """Orbit partition computed from *all* group elements (and optionally
-    all position permutations), entirely independent of union-find."""
+    all position permutations), entirely independent of the code maps."""
     n = G.n
     canon = {}
     for t in itertools.product(range(n), repeat=k):
@@ -52,6 +54,94 @@ def assert_matches_oracle(partition, G, k, positions):
     # distinct canonical forms land in distinct classes
     ids = {partition.class_of(c) for c in set(canon.values())}
     assert len(ids) == count
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1; path halving, union by size."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, i):
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return
+        if self.size[ri] < self.size[rj]:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        self.size[ri] += self.size[rj]
+
+
+def union_find_classes(G, k, positions=False):
+    """(class_id, representatives, num_classes) by union-find over a digit
+    table: one union per code per generator (and per adjacent position
+    swap), then class ids in order of each class's first code."""
+    n = G.n
+    digits = np.array(list(itertools.product(range(n), repeat=k)),
+                      dtype=np.int64).reshape(n**k, k)
+    weights = np.array([n ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+    moves = [np.array(g.images, dtype=np.int64)[digits] for g in G.generators]
+    if positions:
+        for j in range(k - 1):
+            cols = list(range(k))
+            cols[j], cols[j + 1] = cols[j + 1], cols[j]
+            moves.append(digits[:, cols])
+    uf = UnionFind(n**k)
+    for moved in moves:
+        for code, image in enumerate((moved * weights).sum(axis=1).tolist()):
+            uf.union(code, image)
+    class_id = np.empty(n**k, dtype=np.int64)
+    reps, root_label = [], {}
+    for code in range(n**k):
+        label = root_label.setdefault(uf.find(code), len(reps))
+        if label == len(reps):
+            reps.append(decode(code, n, k))
+        class_id[code] = label
+    return class_id, tuple(reps), len(reps)
+
+
+def assert_matches_union_find(G, k):
+    for P, positions in ((layer_classes(G, k), False), (poly_classes(G, k), True)):
+        class_id, reps, count = union_find_classes(G, k, positions)
+        assert P.class_id.dtype == class_id.dtype
+        assert np.array_equal(P.class_id, class_id)
+        assert P.representatives == reps
+        assert P.num_classes == count
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return PermGroup.generate(n, [Permutation(g) for g in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.integers(0, 4))
+def test_orbit_kernel_matches_union_find_on_random_groups(G, k):
+    assert_matches_union_find(G, k)
+
+
+def test_orbit_kernel_matches_union_find_d8_k5():
+    assert_matches_union_find(dihedral(8), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.integers(0, 4))
+def test_tuple_action_codes_moves_every_tuple(G, k):
+    for g in G.generators:
+        m = tuple_action_codes(g, G.n, k)
+        assert m.shape == (G.n**k,)
+        for t in itertools.product(range(G.n), repeat=k):
+            assert m[encode(t, G.n)] == encode(tuple(g(i) for i in t), G.n)
 
 
 # ---------------------------------------------------------------- encoding
@@ -182,6 +272,14 @@ def test_class_of_out_of_range():
         P.class_of(9)
 
 
+@pytest.mark.parametrize("t", [(0, 1), (0, 1, 2, 3), ()])
+def test_class_of_rejects_wrong_length(t):
+    # (0, 1) used to be read as the code of (0, 0, 1)
+    P = layer_classes(cyclic(4), 3)
+    with pytest.raises(ValueError, match="expected k = 3"):
+        P.class_of(t)
+
+
 # ---------------------------------------------------------------- counts
 
 def test_orbit_count_squared():
@@ -210,11 +308,14 @@ def test_equality_patterns_bell_counts():
 
 
 def test_equality_patterns_match_symmetric_layer_classes():
-    for n in (2, 3, 4, 5):
-        for k in (1, 2, 3):
-            E = equality_pattern_partition(n, k)
-            L = layer_classes(symmetric(n), k)
-            assert np.array_equal(E.class_id, L.class_id)
+    # n < k included: then the classes are the set partitions of the k
+    # positions into at most n blocks
+    cases = [(n, k) for n in (2, 3, 4, 5) for k in (1, 2, 3)]
+    for n, k in cases + [(1, 4), (2, 4), (1, 5), (2, 5), (3, 5)]:
+        E = equality_pattern_partition(n, k)
+        L = layer_classes(symmetric(n), k)
+        assert np.array_equal(E.class_id, L.class_id)
+        assert E.representatives == L.representatives
 
 
 def test_cap_errors():
@@ -222,6 +323,15 @@ def test_cap_errors():
         layer_classes(symmetric(4), 3, cap=10)
     with pytest.raises(CapExceededError):
         equality_pattern_partition(10, 9, cap=100)
+
+
+@pytest.mark.parametrize("call", [layer_classes, poly_classes])
+def test_negative_k_and_bad_caps_rejected(call):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        call(cyclic(4), -1)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="tuple cap must be >= 1"):
+            call(cyclic(4), 2, cap=cap)
 
 
 def test_cap_env_override(monkeypatch):
