@@ -18,7 +18,7 @@ import numpy as np
 from .equivlayers import LayerSpace, layer_space, random_layer
 from .net import ActivationStage, EquivStage, GInvariantNetwork, MLP, MLPStage, SumStage
 from .orbits import layer_classes, orbit_count_squared
-from .permgroup import DEFAULT_GROUP_CAP, PermGroup, Permutation, alternating, symmetric
+from .permgroup import PermGroup, Permutation, alternating, symmetric
 from .polybasis import vandermonde_value
 from .rng import SplitMix64
 
@@ -138,6 +138,8 @@ def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
     below n-2, i.e. 2*max_order <= n-2; beyond that range the check
     reports whatever happens (typically genuine separation).
     """
+    if n < 2:
+        raise ValueError(f"n must be >= 2 (the swap moves points 1 and 2), got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if x0 is None:
@@ -268,7 +270,7 @@ def _double_coset(g: tuple[int, ...], gens: list[tuple[int, ...]]) -> set[tuple[
     return coset
 
 
-def enumerate_supergroups(G: PermGroup, cap: int | None = None) -> list[PermGroup]:
+def enumerate_supergroups(G: PermGroup) -> list[PermGroup]:
     """All distinct single-extension closures <G, g> for g in S_n outside G.
 
     Orbit counts are monotone under inclusion, so a strict supergroup
@@ -286,9 +288,6 @@ def enumerate_supergroups(G: PermGroup, cap: int | None = None) -> list[PermGrou
     if n > SUPERGROUP_MAX_N:
         raise ValueError(f"supergroup enumeration scans S_{n}; capped at "
                          f"n <= {SUPERGROUP_MAX_N}; pass explicit supergroups instead")
-    cap = DEFAULT_GROUP_CAP if cap is None else cap
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     gens = [a.images for a in G.generators]
     handled = {h.images for h in G}     # G itself and every double coset extended
     out: list[PermGroup] = []
@@ -297,7 +296,7 @@ def enumerate_supergroups(G: PermGroup, cap: int | None = None) -> list[PermGrou
             continue
         handled |= _double_coset(images, gens)
         g = Permutation(images)
-        H = PermGroup.generate(n, list(G.generators) + [g], cap=cap)
+        H = PermGroup.generate(n, list(G.generators) + [g])
         if not any(K.order == H.order and g in K for K in out):
             out.append(H)
     return out
@@ -347,7 +346,8 @@ def necessary_condition_check(G: PermGroup,
         strict = count < base
         if not strict:
             holds = False
-        hint = next(h.cycle_string() for h in H if h not in G)
+        # the first element of H's breadth-first listing outside G
+        hint = next(h.cycle_string() for h in H.generators if h not in G)
         rows.append(SupergroupRow(order=H.order, orbit_count=count,
                                   strict=strict, generator_hint=hint))
     cross = is_two_closed(G).is_two_closed

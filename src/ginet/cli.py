@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a verified property failed (CI can consume the
 verifiers directly), 2 usage or parse errors, 3 a resource limit was
-exceeded (tuple cap, group-size cap, or memory).
+exceeded (tuple cap, group listing limit, or memory).
 
 Reports are byte-stable for a fixed seed: the ``timings`` section holds
 deterministic work counters, and wall-clock time goes to stderr only.
@@ -20,8 +20,7 @@ from typing import Sequence
 
 from . import analysis, net, orbits, polybasis
 from .equivlayers import layer_space
-from .permgroup import (DEFAULT_GROUP_CAP, GroupTooLargeError, PermGroup, Permutation,
-                        named_group)
+from .permgroup import GroupTooLargeError, PermGroup, Permutation, named_group
 
 VERSION = "0.1.0"
 
@@ -36,7 +35,7 @@ class VerificationFailure(RuntimeError):
 
 # ------------------------------------------------------------- file formats
 
-def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def parse_group_file(path: str) -> PermGroup:
     """Group file: ``n = <int>`` (n >= 1) plus ``gen: <cycles>`` lines, or
     a named shortcut (``name = symmetric|alternating|cyclic|dihedral|trivial``
     with ``n``, or ``name = grid`` with ``dims = 2 3``); a named group
@@ -94,7 +93,7 @@ def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
             raise ParseError(f"{path} line {gens[0][0]}: a named group "
                              f"({name}) takes no 'gen' lines")
         try:
-            return named_group(name, n=n, dims=dims, cap=cap)
+            return named_group(name, n=n, dims=dims)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
     if n is None:
@@ -105,7 +104,7 @@ def parse_group_file(path: str, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
             perms.append(Permutation.parse(n, text))
         except ValueError as exc:
             raise ParseError(f"{path} line {lineno}: {exc}") from None
-    return PermGroup.generate(n, perms, cap=cap)
+    return PermGroup.generate(n, perms)
 
 
 def write_group_file(path: str, G: PermGroup) -> None:
@@ -205,9 +204,8 @@ def _config_dict(args, keys: Sequence[str]) -> dict:
 def _cmd_orbits(args) -> int:
     G = parse_group_file(args.group)
     kind = args.kind
-    cap = args.cap
     P = (orbits.poly_classes if kind == "poly" else orbits.layer_classes)(
-        G, args.k, cap=cap)
+        G, args.k, cap=args.cap)
     lines = [f"group order: {G.order}", f"num_classes: {P.num_classes}"]
     if args.dump or args.format == "csv":
         csv_lines = ["code,class_id"] + [f"{c},{int(P.class_id[c])}"
@@ -361,19 +359,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tuple_cap=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", help="write the JSON report to this path")
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--cap", type=int, default=None,
-                       help="override the tuple cap (also GINET_CAP_TUPLES)")
+        if tuple_cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="override the tuple cap (also GINET_CAP_TUPLES)")
 
     p = sub.add_parser("orbits", help="enumerate index-tuple classes")
     p.add_argument("--group", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=["layer", "poly"], default="layer")
     p.add_argument("--dump", help="write code,class_id CSV here")
-    common(p)
+    common(p, tuple_cap=True)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("basis", help="equivariant layer space dimensions")
@@ -382,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, nargs=2, metavar=("A", "B"),
                    default=[1, 1])
     p.add_argument("--dump-dense", help="write the class-id table as CSV")
-    common(p)
+    common(p, tuple_cap=True)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("approx", help="build an invariant network approximating "
@@ -411,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("an-sn", help="alternating/symmetric layer coincidence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-order", type=int, required=True)
-    common(p)
+    common(p, tuple_cap=True)
     p.set_defaults(func=_cmd_verify_an_sn)
 
     p = vsub.add_parser("vandermonde", help="low-order alternating networks "

@@ -363,7 +363,6 @@ class TrainConfig:
     samples: int = 4096
     epochs: int = 5000
     step: float = 0.002
-    box_halfwidth: float = 1.0
     hidden: tuple[int, ...] = (64, 64)
     target_max_error: float | None = None
     check_every: int = 250
@@ -371,8 +370,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.samples, self.epochs, self.check_every) < 1:
             raise ValueError("samples, epochs, check_every must be positive")
-        if self.step <= 0 or self.box_halfwidth <= 0:
-            raise ValueError("step and box_halfwidth must be positive")
+        if self.step <= 0:
+            raise ValueError(f"step must be positive, got {self.step}")
 
 
 @dataclass
@@ -1030,6 +1029,8 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if eval_points < 0:
+        raise ValueError(f"eval_points must be >= 0, got {eval_points}")
     cfg = cfg or TrainConfig()
     lo, hi = float(box[0]), float(box[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):

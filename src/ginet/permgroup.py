@@ -10,8 +10,8 @@ incremental Schreier-Sims (Sims 1970; Seress, Permutation Group
 Algorithms, 2003), so its order is a product of orbit lengths and
 membership is a sift, one composition per level, with no element listed.
 The elements themselves are listed only on demand, by breadth-first
-closure of the generators.  This is meant for desk scale (the group cap
-still bounds the order), not for large-degree group theory.
+closure of the generators, and only up to order LISTING_LIMIT (desk
+scale); the chain itself has no order limit.
 
 Every PermGroup is the closure of its own generators, so equality,
 hashing and subgroup tests use only the order and the generators, never
@@ -28,13 +28,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-DEFAULT_GROUP_CAP = 10**6
+LISTING_LIMIT = 10**6
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 class GroupTooLargeError(RuntimeError):
-    """Raised when closure enumeration exceeds the element cap."""
+    """Raised, before the first element, on listing a group of order above LISTING_LIMIT."""
 
 
 class Permutation:
@@ -323,21 +323,14 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
 
     @classmethod
-    def generate(cls, n: int, generators: Iterable[Permutation],
-                 cap: int = DEFAULT_GROUP_CAP) -> "PermGroup":
-        """The group generated by the generators; raises GroupTooLargeError
-        when its order exceeds cap, before any element is listed."""
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
+    def generate(cls, n: int, generators: Iterable[Permutation]) -> "PermGroup":
+        """The group generated by the generators."""
         gens = []
         for g in generators:
             if g.n != n:
                 raise ValueError(f"generator acts on {g.n} points, expected {n}")
             gens.append(g)
-        group = cls(n, gens)
-        if group.order > cap:
-            raise GroupTooLargeError(f"group closure exceeds cap of {cap} elements")
-        return group
+        return cls(n, gens)
 
     @property
     def order(self) -> int:
@@ -351,6 +344,9 @@ class PermGroup:
 
     def _list(self) -> Iterator[Permutation]:
         """List the elements lazily; a listing that runs to the end is cached."""
+        if self.order > LISTING_LIMIT:
+            raise GroupTooLargeError(f"order {self.order} exceeds the listing limit of "
+                                     f"{LISTING_LIMIT} elements")
         listed = []
         for images in _breadth_first(self.n, [g.images for g in self.generators]):
             g = Permutation._trusted(images)
@@ -391,57 +387,56 @@ class PermGroup:
                 and all(g in other for g in self.generators))
 
 
-def trivial(n: int, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
-    return PermGroup.generate(n, [], cap=cap)
+def trivial(n: int) -> PermGroup:
+    return PermGroup.generate(n, [])
 
 
-def symmetric(n: int, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return trivial(1, cap)
+        return trivial(1)
     gens = [Permutation.from_cycles(n, [(1, 2)])]
     if n > 2:
         gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
-    return PermGroup.generate(n, gens, cap=cap)
+    return PermGroup.generate(n, gens)
 
 
-def alternating(n: int, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def alternating(n: int) -> PermGroup:
     """Even permutations of S_n, via the standard generating pair."""
     if n < 1:
         raise ValueError("n must be positive")
     if n <= 2:
-        return trivial(n, cap)
+        return trivial(n)
     gens = [Permutation.from_cycles(n, [(1, 2, 3)])]
     if n > 3:
         if n % 2 == 1:
             gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
         else:
             gens.append(Permutation.from_cycles(n, [tuple(range(2, n + 1))]))
-    return PermGroup.generate(n, gens, cap=cap)
+    return PermGroup.generate(n, gens)
 
 
-def cyclic(n: int, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return trivial(1, cap)
-    return PermGroup.generate(
-        n, [Permutation.from_cycles(n, [tuple(range(1, n + 1))])], cap=cap)
+        return trivial(1)
+    return PermGroup.generate(n, [Permutation.from_cycles(n, [tuple(range(1, n + 1))])])
 
 
-def dihedral(n: int, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def dihedral(n: int) -> PermGroup:
     """Rotations plus the reflection i -> -i (mod n); order 2n for n >= 3."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return trivial(1, cap)
+        return trivial(1)
     rot = Permutation([(i + 1) % n for i in range(n)])
     refl = Permutation([(n - i) % n for i in range(n)])
-    return PermGroup.generate(n, [rot, refl], cap=cap)
+    return PermGroup.generate(n, [rot, refl])
 
 
-def grid(dims: Sequence[int], cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def grid(dims: Sequence[int]) -> PermGroup:
     """Independent cyclic shifts per axis of a grid, acting on the flat index set."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
@@ -454,17 +449,17 @@ def grid(dims: Sequence[int], cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
         images = np.arange(n).reshape(dims)
         images = np.roll(images, 1, axis=axis)
         gens.append(Permutation(images.reshape(-1)))
-    return PermGroup.generate(n, gens, cap=cap)
+    return PermGroup.generate(n, gens)
 
 
-def named_group(kind: str, n: int | None = None, dims: Sequence[int] | None = None,
-                cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def named_group(kind: str, n: int | None = None,
+                dims: Sequence[int] | None = None) -> PermGroup:
     """Dispatch on a group family name; ``grid`` takes dims, the rest take n."""
     kind = kind.strip().lower()
     if kind == "grid":
         if not dims:
             raise ValueError("grid needs dims")
-        return grid(dims, cap=cap)
+        return grid(dims)
     if n is None:
         raise ValueError(f"{kind} needs n")
     builders = {
@@ -476,4 +471,4 @@ def named_group(kind: str, n: int | None = None, dims: Sequence[int] | None = No
     }
     if kind not in builders:
         raise ValueError(f"unknown group name {kind!r}")
-    return builders[kind](n, cap=cap)
+    return builders[kind](n)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ginet.analysis import (
     an_sn_layer_equality,
@@ -112,6 +112,12 @@ def test_vandermonde_obstruction_n4():
 def test_vandermonde_obstruction_rejects_no_trials(trials):
     with pytest.raises(ValueError):
         vandermonde_obstruction(4, 1, trials=trials)
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_vandermonde_obstruction_rejects_n_below_2(n):
+    with pytest.raises(ValueError, match=f"n must be >= 2 .*, got {n}$"):
+        vandermonde_obstruction(n, 1, trials=1)
 
 
 def test_vandermonde_gap_nonzero_for_distinct_coords():
@@ -303,12 +309,6 @@ def test_enumerate_supergroups_alternating_maximal():
         assert supers[0] == symmetric(n)
 
 
-def test_enumerate_supergroups_cap_zero_is_rejected():
-    for G in (cyclic(4), symmetric(4)):
-        with pytest.raises(ValueError, match="cap must be >= 1"):
-            enumerate_supergroups(G, cap=0)
-
-
 def test_enumerate_supergroups_trivial_n3():
     # single-generator extensions of the trivial group: the cyclic
     # subgroups of S_3 (three of order 2, one of order 3)
@@ -355,6 +355,50 @@ def test_verdict_matches_two_closure_single_generator_subgroups_s4():
         seen.add(key)
         rep = necessary_condition_check(G)
         assert rep.holds == rep.two_closed_cross_check
+
+
+def hint_by_listing(G: PermGroup, H: PermGroup) -> str:
+    """Oracle: the first element of H's breadth-first listing outside G."""
+    return next(h for h in H if h not in G).cycle_string()
+
+
+def test_generator_hint_matches_listing_on_cyclic_subgroups_of_s5():
+    seen = set()
+    checked = 0
+    for g in symmetric(5):
+        G = PermGroup.generate(5, [g])
+        key = frozenset(h.images for h in G)
+        if key in seen:
+            continue
+        seen.add(key)
+        supers = enumerate_supergroups(G)
+        rep = necessary_condition_check(G, supergroups=supers)
+        assert [r.generator_hint for r in rep.rows] == [hint_by_listing(G, H) for H in supers]
+        checked += len(supers)
+    assert len(seen) == 67 and checked > 500
+
+
+@st.composite
+def explicit_supergroups(draw):
+    """(G, H) with G strictly inside H; H's generator list holds G's
+    generators, extra ones, identities and repeats, in a random order."""
+    n = draw(st.integers(2, 6))
+    perms = st.permutations(range(n)).map(Permutation)
+    G = PermGroup.generate(n, draw(st.lists(perms, max_size=2)))
+    gens = list(G.generators) + draw(st.lists(perms, min_size=1, max_size=3))
+    gens += [Permutation.identity(n)] * draw(st.integers(0, 2))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    H = PermGroup.generate(n, draw(st.permutations(gens)))
+    assume(H.order > G.order)
+    return G, H
+
+
+@settings(max_examples=60, deadline=None)
+@given(explicit_supergroups())
+def test_generator_hint_matches_listing_on_random_supergroups(pair):
+    G, H = pair
+    rep = necessary_condition_check(G, supergroups=[H])
+    assert rep.rows[0].generator_hint == hint_by_listing(G, H)
 
 
 # ---------------------------------------------------------- separating function

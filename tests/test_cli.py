@@ -276,6 +276,11 @@ def test_verify_vandermonde_rejects_no_trials(trials, capsys):
     assert "trials must be >= 1" in capsys.readouterr().err
 
 
+def test_verify_vandermonde_rejects_n_below_2(capsys):
+    assert main(["verify", "vandermonde", "--n", "1", "--max-order", "1"]) == 2
+    assert "n must be >= 2 (the swap moves points 1 and 2), got 1" in capsys.readouterr().err
+
+
 def test_verify_necessary_command(tmp_path, capsys):
     p = tmp_path / "c5.grp"
     p.write_text("name = cyclic\nn = 5\n")
@@ -384,6 +389,67 @@ def test_approx_non_finite_exit2(c4_file, ring_poly_file, option, capsys):
                  *option, "--eval-points", "10"])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_approx_negative_eval_points_exit2_before_training(c4_file, ring_poly_file,
+                                                         monkeypatch, capsys):
+    import ginet.net
+    trained = []
+    monkeypatch.setattr(ginet.net, "train_product_mlp",
+                        lambda *args, **kwargs: trained.append(args))
+    assert main(["approx", "--group", c4_file, "--poly", ring_poly_file,
+                 "--epsilon", "0.05", "--eval-points", "-3"]) == 2
+    assert "eval_points must be >= 0, got -3" in capsys.readouterr().err
+    assert trained == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--group", "{group}", "--cap", "-5"],
+    ["verify", "vandermonde", "--n", "4", "--max-order", "1", "--cap", "-5"],
+    ["verify", "necessary", "--group", "{group}", "--cap", "1"],
+    ["approx", "--group", "{group}", "--poly", "{poly}", "--epsilon", "0.05",
+     "--exact-mul", "--cap", "100"],
+], ids=["closure", "vandermonde", "necessary", "approx"])
+def test_cap_is_a_usage_error_where_no_tuple_cap_applies(argv, c4_file, ring_poly_file,
+                                                         capsys):
+    argv = [a.format(group=c4_file, poly=ring_poly_file) for a in argv]
+    assert main(argv) == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--group", "{group}", "--k", "2", "--cap", "16"],
+    ["basis", "--group", "{group}", "--order", "1", "1", "--cap", "16"],
+    ["verify", "an-sn", "--n", "4", "--max-order", "2", "--cap", "16"],
+], ids=["orbits", "basis", "an-sn"])
+def test_cap_is_read_by_the_tuple_commands(argv, c4_file, capsys):
+    argv = [a.format(group=c4_file) for a in argv]
+    assert main(argv) == 0
+    assert main(argv[:-1] + ["15"]) == 3
+    assert "exceeds the tuple cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["symmetric", "alternating"])
+@pytest.mark.parametrize("argv", [
+    ["basis", "--order", "2", "2"],
+    ["orbits", "--k", "4", "--kind", "poly"],
+    ["approx", "--poly", "{poly}", "--epsilon", "0.05", "--exact-mul"],
+], ids=["basis", "orbits", "approx"])
+def test_degree_12_groups_run_without_listing(family, argv, tmp_path, monkeypatch, capsys):
+    import ginet.permgroup
+
+    def no_listing(*args):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(ginet.permgroup, "_breadth_first", no_listing)
+    grp = tmp_path / "g.grp"
+    grp.write_text(f"name = {family}\nn = 12\n")
+    poly = tmp_path / "p.poly"
+    poly.write_text("name: powersum 2\nname: powersum 1\n")
+    argv = [a.format(poly=poly) for a in argv]
+    assert main(argv + ["--group", str(grp)]) == 0
+    assert "group order: " + str(479001600 // (2 if family == "alternating" else 1)) \
+        in capsys.readouterr().out
 
 
 def test_cli_subprocess_entry(c4_file):

@@ -560,6 +560,17 @@ def test_approximate_rejects_non_finite(epsilon, box):
         approximate_polynomial(G, p, epsilon, box, eval_points=10)
 
 
+def test_approximate_rejects_negative_eval_points_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a gadget trained before eval_points was checked")
+
+    monkeypatch.setattr(ginet.net, "train_product_mlp", no_training)
+    G = symmetric(3)
+    p = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+    with pytest.raises(ValueError, match="eval_points must be >= 0, got -3"):
+        approximate_polynomial(G, p, 0.1, eval_points=-3)
+
+
 def test_approximate_constant_polynomial():
     G = symmetric(3)
     p = Polynomial.constant(3, 4.25)

@@ -161,11 +161,6 @@ def test_generate_standard_pair_gives_s4():
     assert G.order == 24
 
 
-def test_generate_cap():
-    with pytest.raises(GroupTooLargeError, match="10"):
-        PermGroup.generate(5, [perm(5, "(1 2)"), perm(5, "(1 2 3 4 5)")], cap=10)
-
-
 def test_generation_deterministic_order():
     gens = [perm(4, "(1 2)"), perm(4, "(1 2 3 4)")]
     a = PermGroup.generate(4, gens)
@@ -498,8 +493,8 @@ M11_GENS = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
 
 
 @pytest.mark.parametrize("build, order", [
-    (lambda: symmetric(12, cap=10**9), math.factorial(12)),
-    (lambda: alternating(12, cap=10**9), math.factorial(12) // 2),
+    (lambda: symmetric(12), math.factorial(12)),
+    (lambda: alternating(12), math.factorial(12) // 2),
     (lambda: PermGroup.generate(11, [perm(11, c) for c in M11_GENS]), 7920),
     (lambda: PermGroup.generate(
         12, [perm(12, c) for c in M11_GENS + ["(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"]]),
@@ -518,7 +513,7 @@ def test_mathieu_membership():
     assert compose(m11[0], m11[1]) in M11
     assert perm(11, "(1 2)") not in M11           # M11 is inside A11
     assert perm(11, "(1 2 3)") not in M11         # 3-cycles would give A11
-    assert M11.is_subgroup_of(alternating(11, cap=10**8))
+    assert M11.is_subgroup_of(alternating(11))
 
 
 def test_membership_rejects_other_point_counts_and_non_permutations():
@@ -530,10 +525,26 @@ def test_membership_rejects_other_point_counts_and_non_permutations():
     assert Permutation.identity(0) in trivial(0)
 
 
-def test_default_cap_rejects_s10_without_listing(listings):
-    with pytest.raises(GroupTooLargeError, match="group closure exceeds cap of 1000000"):
-        symmetric(10)
+def test_s10_builds_without_listing(listings):
+    G = symmetric(10)
+    assert G.order == math.factorial(10) and perm(10, "(1 10)") in G
     assert listings == {"listings": 0, "elements": 0}
+
+
+def test_listing_limit_rejects_s10_before_listing(listings):
+    G = symmetric(10)
+    with pytest.raises(GroupTooLargeError, match="order 3628800 exceeds the listing limit"):
+        list(G)
+    with pytest.raises(GroupTooLargeError, match="the listing limit of 1000000 elements"):
+        G.elements
+    assert listings == {"listings": 0, "elements": 0}
+
+
+def test_listing_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(permgroup, "LISTING_LIMIT", 24)
+    assert len(symmetric(4).elements) == 24
+    with pytest.raises(GroupTooLargeError):
+        next(iter(symmetric(5)))
 
 
 def test_early_stop_lists_part_of_the_group(listings):
