@@ -5,6 +5,12 @@ alternating/symmetric coincidence of layer spaces up to total order
 n-2, the Vandermonde obstruction that follows from it, k-transitivity,
 2-closure, the strict orbit-count condition over strict supergroups,
 and the bump-average separating function.
+
+The Vandermonde check runs many random alternating-invariant networks
+on two points.  It holds them as one stack of coefficient arrays, with
+a leading network axis, rather than as network objects: one
+splitmix64 call draws every network's coefficients, and one
+apply_stacked call per layer space evaluates them all.
 """
 
 from __future__ import annotations
@@ -15,15 +21,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .equivlayers import LayerSpace, layer_space, random_layer
-from .net import ActivationStage, EquivStage, GInvariantNetwork, MLP, MLPStage, SumStage
+from .equivlayers import LayerSpace, apply_stacked, layer_space
+from .net import ACTIVATIONS
 from .orbits import layer_classes, orbit_count_squared
 from .permgroup import PermGroup, Permutation, alternating, symmetric
 from .polybasis import vandermonde_value
-from .rng import SplitMix64
+from .rng import SplitMix64, stream_floats
 
 TWO_CLOSURE_MAX_N = 8
 SUPERGROUP_MAX_N = 7
+# transient floats (8 MiB) of one group of trials in vandermonde_obstruction
+_TRIAL_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,8 @@ def an_sn_layer_equality(n: int, max_total_order: int,
     """
     if n < 3:
         raise ValueError("needs n >= 3")
+    if max_total_order < 1:
+        raise ValueError(f"max_total_order must be >= 1, got {max_total_order}")
     A, S = alternating(n), symmetric(n)
     rows = []
     holds = True
@@ -109,20 +119,49 @@ def _alternating_layer_spaces(n: int, order: int,
             layer_space(A, order, 0, width, width))
 
 
-def _random_alternating_network(spaces: tuple[LayerSpace, LayerSpace, LayerSpace],
-                                rng: SplitMix64) -> GInvariantNetwork:
-    """A random alternating-group-invariant network on the given layer spaces."""
-    sp1, sp2, sp3 = spaces
-    width = sp3.b
-    head = MLP([rng.uniforms(-1, 1, 1, width)], [rng.uniforms(-1, 1, 1)], "sigmoid")
-    stages = [EquivStage(random_layer(sp1, rng)),
-              ActivationStage("sigmoid"),
-              EquivStage(random_layer(sp2, rng)),
-              ActivationStage("sigmoid"),
-              EquivStage(random_layer(sp3, rng)),
-              SumStage(np.ones(width)),
-              MLPStage(head)]
-    return GInvariantNetwork(sp1.group, stages, order=sp2.k)
+def _alternating_coefficients(spaces: tuple[LayerSpace, ...], states: np.ndarray):
+    """The coefficients of one random alternating network per splitmix64
+    stream state (advanced in place), uniform in [-1, 1]: the head's
+    weights (T, width) and bias (T, 1), then per layer space its linear
+    (T, C, a, b) and bias (T, Cb, b) coefficients.  Each stream draws
+    them in that order, as one run of values."""
+    T = len(states)
+    sizes = [spaces[-1].b, 1] + [d for sp in spaces for d in (sp.linear_dim, sp.bias_dim)]
+    values = -1.0 + 2.0 * stream_floats(states, sum(sizes))
+    head_w, head_b, *flat = np.split(values, np.cumsum(sizes)[:-1], axis=1)
+    layers = [(flat[2 * i].reshape(T, -1, sp.a, sp.b), flat[2 * i + 1].reshape(T, -1, sp.b))
+              for i, sp in enumerate(spaces)]
+    return head_w, head_b, layers
+
+
+def _alternating_outputs(spaces: tuple[LayerSpace, ...], states: np.ndarray,
+                         X: np.ndarray) -> np.ndarray:
+    """F_t(x) for the random alternating network F_t of each stream state,
+    at each row x of X (Z, n): a (T, Z) array.
+
+    The networks run as one stack through apply_stacked: each layer space
+    in turn, a sigmoid after every layer but the last, the sum over the
+    order-0 output, then the linear head.
+    """
+    head_w, head_b, layers = _alternating_coefficients(spaces, states)
+    H = np.broadcast_to(X[None, :, :, None], (len(states), *X.shape, 1))
+    for i, (sp, (linear, bias)) in enumerate(zip(spaces, layers)):
+        H = apply_stacked(sp, linear, bias, H)
+        if i < len(spaces) - 1:
+            ACTIVATIONS["sigmoid"][2](H)               # sigmoid, in place
+    V = H.sum(axis=2)                                  # (T, Z, width)
+    return np.matmul(V, head_w[:, :, None])[:, :, 0] + head_b
+
+
+def _trial_floats(spaces: tuple[LayerSpace, ...], points: int) -> int:
+    """Floats one network of _alternating_outputs holds at once: its
+    coefficients, its activations at every point and one gathered row of
+    its widest layer."""
+    n = spaces[0].n
+    coeffs = spaces[-1].b + 1 + sum(sp.linear_dim + sp.bias_dim for sp in spaces)
+    activations = sum(points * n**sp.l * sp.b for sp in spaces)
+    row = max(n**sp.k * sp.a * sp.b for sp in spaces)
+    return coeffs + activations + row
 
 
 def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
@@ -137,6 +176,12 @@ def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
     Equality is forced whenever every layer's total order stays at or
     below n-2, i.e. 2*max_order <= n-2; beyond that range the check
     reports whatever happens (typically genuine separation).
+
+    Trial t's network draws its coefficients from the stream spawned as
+    ``trial-{t}`` from SplitMix64(seed).  The networks are evaluated as
+    stacks (see _alternating_outputs), x0 and its swap as one batch, in
+    groups of trials whose transients fit _TRIAL_BUDGET floats, so memory
+    does not grow with the number of trials.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 (the swap moves points 1 and 2), got {n}")
@@ -144,18 +189,22 @@ def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if x0 is None:
         x0 = tuple(float(i) for i in range(1, n + 1))
+    if len(x0) != n:
+        raise ValueError(f"x0 needs n = {n} coordinates, got {len(x0)}")
     x0_arr = np.asarray(x0, dtype=np.float64)
     if len(set(x0)) != n:
         raise ValueError("x0 needs pairwise distinct coordinates")
     swap = Permutation.from_cycles(n, [(1, 2)])
-    x1 = swap.apply_vector(x0_arr)
+    X = np.stack([x0_arr, swap.apply_vector(x0_arr)])
     rng = SplitMix64(seed)
+    states = np.array([rng.spawn(f"trial-{t}").state for t in range(trials)],
+                      dtype=np.uint64)
     spaces = _alternating_layer_spaces(n, max_order)
+    group = max(1, _TRIAL_BUDGET // _trial_floats(spaces, len(X)))
     worst = 0.0
-    for t in range(trials):
-        net = _random_alternating_network(spaces, rng.spawn(f"trial-{t}"))
-        dev = abs(net.forward(x0_arr) - net.forward(x1))
-        worst = max(worst, dev)
+    for start in range(0, trials, group):
+        F = _alternating_outputs(spaces, states[start:start + group], X)
+        worst = max(worst, float(np.abs(F[:, 0] - F[:, 1]).max()))
     return VandermondeReport(
         n=n, max_order=max_order, trials=trials, x0=tuple(x0),
         max_deviation=worst, all_equal=worst <= tol,

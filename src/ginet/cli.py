@@ -11,6 +11,7 @@ deterministic work counters, and wall-clock time goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -432,8 +433,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then reused: parse_args keeps
+    no state between calls, and building it takes milliseconds."""
+    return _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

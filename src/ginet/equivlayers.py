@@ -8,7 +8,9 @@ of [n]^l.  Layers are therefore stored in weight-sharing form: one
 coefficient per (class, input feature, output feature), plus one bias
 coefficient per (bias class, output feature).  Application streams over
 the class-id table in row chunks; the dense weight tensor is only built
-by materialize_dense.
+by materialize_dense.  apply_stacked applies many layers of one space
+at once, each to its own inputs; a single layer's apply_flat is its
+one-layer case.
 
 Feature axes always come last.  Order 0 means an invariant output: a
 plain feature vector.
@@ -88,23 +90,11 @@ class EquivariantLayer:
             raise ValueError(f"bias coefficients must have shape {(Cb, self.space.b)}")
 
     def apply_flat(self, X: np.ndarray) -> np.ndarray:
-        """Apply to a batch of flattened inputs (B, n^k, a) -> (B, n^l, b)."""
-        sp = self.space
-        n = sp.n
-        rows_in, rows_out = n**sp.k, n**sp.l
+        """Apply to a batch of flattened inputs (B, n^k, a) -> (B, n^l, b):
+        apply_stacked with one network."""
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[1:] != (rows_in, sp.a):
-            raise ValueError(f"input has shape {X.shape[1:]}, expected "
-                             f"{(rows_in, sp.a)}")
-        cid = sp.linear_partition.class_id.reshape(rows_out, rows_in)
-        out = np.empty((X.shape[0], rows_out, sp.b))
-        chunk = max(1, _CHUNK_BUDGET // max(1, rows_in * sp.a * sp.b))
-        for start in range(0, rows_out, chunk):
-            stop = min(start + chunk, rows_out)
-            block = self.linear_coeffs[cid[start:stop]]  # (R, rows_in, a, b)
-            out[:, start:stop, :] = np.einsum("zia,riaj->zrj", X, block)
-        out += self.bias_coeffs[sp.bias_partition.class_id]
-        return out
+        return apply_stacked(self.space, self.linear_coeffs[None],
+                             self.bias_coeffs[None], X[None])[0]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Apply to one shaped input (n,)*k + (a,) -> (n,)*l + (b,)."""
@@ -133,6 +123,36 @@ class EquivariantLayer:
         matrix = dense.transpose(0, 3, 1, 2).reshape(rows_out * sp.b, rows_in * sp.a)
         bias = self.bias_coeffs[sp.bias_partition.class_id].reshape(-1)
         return matrix, bias
+
+
+def apply_stacked(space: LayerSpace, linear: np.ndarray, bias: np.ndarray,
+                  X: np.ndarray) -> np.ndarray:
+    """Apply T layers of one space, each to its own batch of flattened
+    inputs: linear (T, C, a, b), bias (T, Cb, b) and X (T, Z, n^k, a)
+    give (T, Z, n^l, b).
+
+    Output rows go in chunks: each gathers the weight-sharing block
+    linear[:, class_id] of its rows for every network at once, keeping it
+    within _CHUNK_BUDGET floats (one row at least), and contracts it with
+    the inputs in one batched matrix product.
+    """
+    n = space.n
+    rows_in, rows_out = n**space.k, n**space.l
+    T = linear.shape[0]
+    if X.shape[0] != T or X.shape[2:] != (rows_in, space.a):
+        raise ValueError(f"input has shape {X.shape}, expected "
+                         f"{(T, X.shape[1], rows_in, space.a)}")
+    cid = space.linear_partition.class_id.reshape(rows_out, rows_in)
+    Xm = X.reshape(T, 1, X.shape[1], rows_in * space.a)
+    out = np.empty((T, X.shape[1], rows_out, space.b))
+    chunk = max(1, _CHUNK_BUDGET // max(1, T * rows_in * space.a * space.b))
+    for start in range(0, rows_out, chunk):
+        stop = min(start + chunk, rows_out)
+        block = np.take(linear, cid[start:stop], axis=1)  # (T, R, rows_in, a, b)
+        Y = np.matmul(Xm, block.reshape(T, stop - start, -1, space.b))
+        out[:, :, start:stop, :] = Y.transpose(0, 2, 1, 3)
+    out += bias[:, None, space.bias_partition.class_id]
+    return out
 
 
 def zero_layer(space: LayerSpace) -> EquivariantLayer:

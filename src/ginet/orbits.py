@@ -131,7 +131,11 @@ def _orbit_partition(n: int, k: int, kind: str, maps: list[np.ndarray]) -> Orbit
     is_least = label == codes
     class_id = (np.cumsum(is_least, dtype=np.int64) - 1)[label]
     class_id.flags.writeable = False
-    reps = tuple(decode(int(c), n, k) for c in np.flatnonzero(is_least))
+    least = np.flatnonzero(is_least)
+    # the digit columns of the least codes, most significant first; with
+    # k = 0 the one class is the empty tuple's, and zip would yield nothing
+    columns = (least // n ** np.arange(k - 1, -1, -1, dtype=np.int64)[:, None] % n).tolist()
+    reps = tuple(zip(*columns)) if k else ((),)
     return OrbitPartition(n=n, k=k, kind=kind, class_id=class_id,
                           num_classes=len(reps), representatives=reps)
 

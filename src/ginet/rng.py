@@ -32,6 +32,23 @@ def _fnv1a(text: str) -> int:
     return h
 
 
+def stream_floats(states: np.ndarray, count: int) -> np.ndarray:
+    """The next count uniform() values of every splitmix64 stream in
+    states, as the rows of a (len(states), count) array.
+
+    states is a uint64 array of stream states, advanced in place past the
+    values drawn.  The values are mixed as one uint64 array, whose
+    arithmetic wraps mod 2^64 like the & _MASK of next_u64.
+    """
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    z = states[:, None] + np.uint64(_GAMMA) * steps
+    states += np.uint64(count * _GAMMA & _MASK)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 class SplitMix64:
     """splitmix64 stream; yields uint64, floats in [0,1), and arrays."""
 
@@ -59,18 +76,14 @@ class SplitMix64:
                 return u % n
 
     def floats(self, *shape: int) -> np.ndarray:
-        """The next prod(shape) uniform() values, mixed as one uint64 array
-        (its arithmetic wraps mod 2^64, like the & _MASK of next_u64)."""
+        """The next prod(shape) uniform() values: stream_floats on this
+        one state."""
         if any(s < 0 for s in shape):
             raise ValueError(f"negative dimension in shape {shape}")
-        count = math.prod(shape)
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + np.uint64(_GAMMA) * steps
-        self.state = (self.state + count * _GAMMA) & _MASK
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-        z ^= z >> np.uint64(31)
-        return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shape)
+        states = np.array([self.state], dtype=np.uint64)
+        out = stream_floats(states, math.prod(shape))
+        self.state = int(states[0])
+        return out.reshape(shape)
 
     def uniforms(self, lo: float, hi: float, *shape: int) -> np.ndarray:
         return lo + (hi - lo) * self.floats(*shape)

@@ -1,10 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ginet import analysis
 from ginet.analysis import (
+    _alternating_coefficients,
+    _alternating_layer_spaces,
+    _alternating_outputs,
     an_sn_layer_equality,
     enumerate_supergroups,
     is_k_transitive,
@@ -13,6 +18,15 @@ from ginet.analysis import (
     separating_function,
     two_closure,
     vandermonde_obstruction,
+)
+from ginet.equivlayers import random_layer
+from ginet.net import (
+    ActivationStage,
+    EquivStage,
+    GInvariantNetwork,
+    MLP,
+    MLPStage,
+    SumStage,
 )
 from ginet.orbits import layer_classes, orbit_count_squared
 from ginet.permgroup import (
@@ -30,6 +44,12 @@ from ginet.rng import SplitMix64
 
 
 # ---------------------------------------------------------- A_n vs S_n
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_an_sn_rejects_max_order_below_1(max_order):
+    with pytest.raises(ValueError, match=f"max_total_order must be >= 1, got {max_order}$"):
+        an_sn_layer_equality(5, max_order)
+
 
 def test_an_sn_equality_n5():
     rep = an_sn_layer_equality(5, 3)
@@ -129,11 +149,106 @@ def test_vandermonde_obstruction_rejects_repeated_coords():
         vandermonde_obstruction(4, 1, x0=(1.0, 1.0, 2.0, 3.0))
 
 
+def _random_alternating_network(spaces, rng):
+    """Oracle: one random alternating-group-invariant network, built stage
+    by stage from per-call draws on one stream."""
+    sp1, sp2, sp3 = spaces
+    width = sp3.b
+    head = MLP([rng.uniforms(-1, 1, 1, width)], [rng.uniforms(-1, 1, 1)], "sigmoid")
+    stages = [EquivStage(random_layer(sp1, rng)),
+              ActivationStage("sigmoid"),
+              EquivStage(random_layer(sp2, rng)),
+              ActivationStage("sigmoid"),
+              EquivStage(random_layer(sp3, rng)),
+              SumStage(np.ones(width)),
+              MLPStage(head)]
+    return GInvariantNetwork(sp1.group, stages, order=sp2.k)
+
+
+def _trial_networks(n, max_order, seed, trials):
+    """The oracle networks of vandermonde_obstruction's trials, one stream
+    spawned per trial, and the stacked evaluation's stream states."""
+    spaces = _alternating_layer_spaces(n, max_order)
+    rng = SplitMix64(seed)
+    streams = [rng.spawn(f"trial-{t}") for t in range(trials)]
+    states = np.array([s.state for s in streams], dtype=np.uint64)
+    return spaces, [_random_alternating_network(spaces, s) for s in streams], states
+
+
+def _swap_points(n):
+    x0 = np.arange(1.0, n + 1.0)
+    return np.stack([x0, Permutation.from_cycles(n, [(1, 2)]).apply_vector(x0)])
+
+
+@pytest.mark.parametrize("x0", [(1.0, 2.0, 3.0, 4.0), (1.0, 2.0), (1.0, 1.0, 2.0, 3.0)])
+def test_vandermonde_obstruction_checks_x0_length_first(x0):
+    with pytest.raises(ValueError, match=rf"x0 needs n = 3 coordinates, got {len(x0)}$"):
+        vandermonde_obstruction(3, 1, x0=x0)
+
+
 def test_random_alternating_net_is_alternating_invariant():
-    from ginet.analysis import _alternating_layer_spaces, _random_alternating_network
     rng = SplitMix64(3)
     net = _random_alternating_network(_alternating_layer_spaces(4, 1), rng)
     assert net.max_invariance_deviation(SplitMix64(4), trials=20) <= 1e-9
+
+
+@pytest.mark.parametrize("n, max_order", [(4, 1), (7, 2), (6, 2), (5, 2)])
+def test_stacked_coefficients_bit_equal_oracle_draws(n, max_order):
+    spaces, nets, states = _trial_networks(n, max_order, seed=11, trials=7)
+    head_w, head_b, layers = _alternating_coefficients(spaces, states)
+    for t, net in enumerate(nets):
+        equiv = [s.layer for s in net.stages if isinstance(s, EquivStage)]
+        head = net.stages[-1].mlp
+        assert np.array_equal(head_w[t], head.weights[0][0])
+        assert np.array_equal(head_b[t], head.biases[0])
+        for (linear, bias), layer in zip(layers, equiv):
+            assert np.array_equal(linear[t], layer.linear_coeffs)
+            assert np.array_equal(bias[t], layer.bias_coeffs)
+
+
+@pytest.mark.parametrize("n, max_order, guaranteed",
+                         [(4, 1, True), (5, 1, True), (6, 2, True), (7, 2, True),
+                          (5, 2, False), (7, 3, False)])
+def test_stacked_outputs_match_per_trial_networks(n, max_order, guaranteed):
+    trials = 6 if n == 7 and max_order == 3 else 20
+    spaces, nets, states = _trial_networks(n, max_order, seed=5, trials=trials)
+    X = _swap_points(n)
+    F = _alternating_outputs(spaces, states, X)
+    ref = np.array([[net.forward(x) for x in X] for net in nets])
+    assert F.shape == ref.shape == (trials, 2)
+    assert np.all(np.abs(F - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    rep = vandermonde_obstruction(n, max_order, seed=5, trials=trials)
+    worst = float(np.max(np.abs(ref[:, 0] - ref[:, 1])))
+    assert rep.guaranteed == guaranteed
+    assert rep.all_equal == (worst <= 1e-9) == guaranteed
+    assert rep.max_deviation == pytest.approx(worst, rel=1e-9, abs=1e-12)
+
+
+def test_vandermonde_trial_groups_cover_every_trial(monkeypatch):
+    # tiny groups: each trial's stream state must still reach its network
+    _, nets, _ = _trial_networks(5, 2, seed=9, trials=13)
+    X = _swap_points(5)
+    worst = max(abs(net.forward(X[0]) - net.forward(X[1])) for net in nets)
+    whole = vandermonde_obstruction(5, 2, seed=9, trials=13)
+    monkeypatch.setattr(analysis, "_TRIAL_BUDGET", 1)
+    grouped = vandermonde_obstruction(5, 2, seed=9, trials=13)
+    assert grouped == whole
+    assert whole.max_deviation == pytest.approx(worst, rel=1e-9)
+
+
+def test_vandermonde_memory_flat_in_trials():
+    peaks = {}
+    for trials in (2500, 5000):                   # both above one group of trials
+        tracemalloc.start()
+        try:
+            rep = vandermonde_obstruction(7, 2, trials=trials)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.all_equal and rep.trials == trials
+    # all 5000 networks at once would peak at about 36 MB
+    assert peaks[5000] <= 2 * 8 * analysis._TRIAL_BUDGET
+    assert peaks[5000] <= 1.05 * peaks[2500] + 2**18
 
 
 # ---------------------------------------------------------- 2-closure

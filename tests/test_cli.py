@@ -480,3 +480,67 @@ def test_report_determinism_verifiers(tmp_path):
             assert main(cmd + ["--report", str(path)]) == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_verify_an_sn_rejects_max_order_below_1(capsys):
+    assert main(["verify", "an-sn", "--n", "5", "--max-order", "0"]) == 2
+    assert "max_total_order must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_verify_vandermonde_x0_length_is_a_usage_error(monkeypatch, capsys):
+    # the CLI always passes the default x0; a wrong-length one must still
+    # surface as exit 2 with the length message
+    import functools
+
+    import ginet.analysis
+    monkeypatch.setattr(ginet.analysis, "vandermonde_obstruction",
+                        functools.partial(ginet.analysis.vandermonde_obstruction,
+                                          x0=(1.0, 2.0, 3.0, 4.0)))
+    assert main(["verify", "vandermonde", "--n", "3", "--max-order", "1"]) == 2
+    assert "x0 needs n = 3 coordinates, got 4" in capsys.readouterr().err
+
+
+def test_reused_parser_matches_fresh_processes(c4_file, ring_poly_file, tmp_path, capsys):
+    """A sequence of main() calls in one process gives each call's exit
+    code, stdout and report as a fresh process does."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ginet
+    from ginet import cli
+    s5 = tmp_path / "s5.grp"
+    s5.write_text("name = symmetric\nn = 5\n")
+    calls = [
+        ["orbits", "--group", c4_file, "--k", "2", "--kind", "poly"],
+        ["basis", "--group", c4_file, "--order", "1", "2", "--features", "1", "2"],
+        ["approx", "--group", c4_file, "--poly", ring_poly_file, "--epsilon", "0.05",
+         "--exact-mul", "--eval-points", "50"],
+        ["closure", "--group", c4_file],
+        ["verify", "an-sn", "--n", "4", "--max-order", "3"],
+        ["verify", "vandermonde", "--n", "4", "--max-order", "1", "--trials", "5"],
+        ["verify", "necessary", "--group", c4_file, "--supergroup", str(s5)],
+        ["verify", "vandermonde", "--n", "4"],            # usage error
+        ["orbits", "--group", c4_file, "--k", "1", "--seed", "x"],
+        ["--version"],
+        ["orbits", "--group", c4_file, "--k", "2"],       # after the errors
+    ]
+    src = str(Path(ginet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for i, argv in enumerate(calls):
+        report = [] if argv == ["--version"] else ["--report", str(tmp_path / f"seq{i}.json")]
+        code = main(argv + report)
+        seq_out = capsys.readouterr()
+        fresh_report = [] if not report else ["--report", str(tmp_path / f"fresh{i}.json")]
+        proc = subprocess.run([sys.executable, "-m", "ginet.cli", *argv, *fresh_report],
+                              capture_output=True, text=True, env=env)
+        assert code == proc.returncode, argv
+        assert seq_out.out == proc.stdout, argv
+        if code == 2:
+            assert seq_out.err == proc.stderr, argv
+        if report and code == 0:
+            assert Path(report[1]).read_bytes() == Path(fresh_report[1]).read_bytes()
+    assert [main(argv) for argv in (calls[-4], ["--version"])] == [2, 0]
+    assert cli._parser() is cli._parser()

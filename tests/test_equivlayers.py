@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from ginet import equivlayers
 from ginet.equivlayers import (
     EquivariantLayer,
+    apply_stacked,
     concat_layers,
     down_tensor,
     layer_space,
@@ -167,6 +169,64 @@ def test_materialize_dense_agrees_with_apply():
         X = rng.uniforms(-1, 1, 3, 3, 1)
         via_matrix = M @ X.reshape(-1) + bias
         assert np.allclose(L.apply(X).reshape(-1), via_matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_apply_stacked_matches_dense(T, budget, monkeypatch):
+    """Each network of the stack against its own dense matrix; budget 1
+    forces one output row per chunk."""
+    monkeypatch.setattr(equivlayers, "_CHUNK_BUDGET", budget)
+    rng = SplitMix64(40 + T)
+    cases = [(cyclic(4), 1, 2, 1, 2), (dihedral(5), 2, 1, 2, 3), (alternating(4), 2, 2, 2, 2),
+             (symmetric(3), 0, 2, 1, 1), (trivial(3), 2, 0, 3, 1), (cyclic(5), 1, 1, 2, 2)]
+    for G, k, l, a, b in cases:
+        sp = layer_space(G, k, l, a, b)
+        layers = [random_layer(sp, rng) for _ in range(T)]
+        X = rng.uniforms(-1, 1, T, 4, G.n**k, a)
+        out = apply_stacked(sp, np.stack([L.linear_coeffs for L in layers]),
+                            np.stack([L.bias_coeffs for L in layers]), X)
+        assert out.shape == (T, 4, G.n**l, b)
+        for t, L in enumerate(layers):
+            M, bias = L.materialize_dense()
+            want = X[t].reshape(4, -1) @ M.T + bias
+            assert np.allclose(out[t].reshape(4, -1), want, rtol=0, atol=1e-13)
+        if T == 1:
+            assert np.array_equal(layers[0].apply_flat(X[0]), out[0])
+
+
+def test_apply_stacked_broadcast_input_and_shape_check():
+    rng = SplitMix64(47)
+    sp = layer_space(alternating(5), 1, 2, 1, 2)
+    layers = [random_layer(sp, rng) for _ in range(4)]
+    linear = np.stack([L.linear_coeffs for L in layers])
+    bias = np.stack([L.bias_coeffs for L in layers])
+    x = rng.uniforms(-1, 1, 2, 5, 1)
+    out = apply_stacked(sp, linear, bias, np.broadcast_to(x, (4, 2, 5, 1)))
+    for t, L in enumerate(layers):
+        assert np.allclose(out[t], L.apply_flat(x), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="input has shape"):
+        apply_stacked(sp, linear, bias, np.zeros((3, 2, 5, 1)))
+    with pytest.raises(ValueError, match="input has shape"):
+        layers[0].apply_flat(np.zeros((2, 4, 1)))
+
+
+def test_selection_layer_outputs_are_exact():
+    """A 0/1 layer's outputs are its selected inputs bit for bit, whatever
+    order the contraction sums in: networks built from monomial factor
+    layers do not depend on it."""
+    rng = SplitMix64(48)
+    G = dihedral(5)
+    P = poly_classes(G, 3)
+    for c in (0, P.num_classes // 2, P.num_classes - 1):
+        L = monomial_factors_layer(G, P, c)
+        x = rng.uniforms(-1, 1, 6, 5, 1)
+        out = L.apply_flat(x)
+        codes = np.arange(5**3)
+        digits = codes[:, None] // 5 ** np.arange(2, -1, -1) % 5
+        inside = P.class_id == c
+        want = np.where(inside[None, :, None], x[:, digits, 0], 0.0)
+        assert np.array_equal(out, want)
 
 
 def test_materialize_dense_row_pattern():

@@ -193,6 +193,18 @@ def test_layer_classes_k0():
     assert P.class_of(()) == 0
 
 
+@pytest.mark.parametrize("G", [trivial(1), trivial(3), cyclic(5), dihedral(4),
+                               alternating(4), symmetric(4)],
+                         ids=["trivial1", "trivial3", "c5", "d4", "a4", "s4"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_representatives_match_decode(G, k):
+    """Oracle: each class's least code, decoded one at a time."""
+    for P in (layer_classes(G, k), poly_classes(G, k)):
+        least = [int(np.flatnonzero(P.class_id == c)[0]) for c in range(P.num_classes)]
+        assert P.representatives == tuple(decode(code, G.n, k) for code in least)
+        assert all(type(d) is int for rep in P.representatives for d in rep)
+
+
 def test_class_ids_ordered_by_representative():
     P = layer_classes(dihedral(5), 2)
     rep_codes = [encode(r, P.n) for r in P.representatives]

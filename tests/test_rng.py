@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ginet.rng import SplitMix64
+from ginet.rng import SplitMix64, stream_floats
 
 
 def scalar_floats(rng, shape):
@@ -36,3 +36,15 @@ def test_floats_rejects_negative_dimension():
     with pytest.raises(ValueError, match="negative"):
         rng.floats(2, -1)
     assert rng.state == 0
+
+
+def test_stream_floats_rows_are_each_streams_floats():
+    seeds = [0, 1, 7, 2**63 + 5, 2**64 - 1]
+    for count in (0, 1, 6, 257):
+        states = np.array(seeds, dtype=np.uint64)
+        got = stream_floats(states, count)
+        assert got.shape == (len(seeds), count) and got.dtype == np.float64
+        for row, seed, state in zip(got, seeds, states.tolist()):
+            ref = SplitMix64(seed)
+            assert np.array_equal(row, ref.floats(count))
+            assert state == ref.state
