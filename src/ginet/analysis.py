@@ -11,11 +11,17 @@ on two points.  It holds them as one stack of coefficient arrays, with
 a leading network axis, rather than as network objects: one
 splitmix64 call draws every network's coefficients, and one
 apply_stacked call per layer space evaluates them all.
+
+The supergroup scan closes one <G, g> per double coset G g G.  It finds
+the double cosets as orbits of G x G on the lex ranks of S_n with the
+orbit kernel's min-label propagation, and closes each extension with a
+stabilizer chain that stops once its order reaches n!.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from .equivlayers import LayerSpace, apply_stacked, layer_space
 from .net import ACTIVATIONS
-from .orbits import layer_classes, orbit_count_squared
+from .orbits import layer_classes, min_labels, orbit_count_squared
 from .permgroup import PermGroup, Permutation, alternating, symmetric
 from .polybasis import vandermonde_value
 from .rng import SplitMix64, stream_floats
@@ -192,6 +198,9 @@ def vandermonde_obstruction(n: int, max_order: int, seed: int = 0,
     if len(x0) != n:
         raise ValueError(f"x0 needs n = {n} coordinates, got {len(x0)}")
     x0_arr = np.asarray(x0, dtype=np.float64)
+    if not np.isfinite(x0_arr).all():
+        i = int(np.flatnonzero(~np.isfinite(x0_arr))[0])
+        raise ValueError(f"x0 needs finite coordinates, got x0[{i}] = {x0_arr[i]}")
     if len(set(x0)) != n:
         raise ValueError("x0 needs pairwise distinct coordinates")
     swap = Permutation.from_cycles(n, [(1, 2)])
@@ -302,21 +311,12 @@ def is_two_closed(G: PermGroup, max_witnesses: int = 10) -> ClosureReport:
         witnesses=tuple(witnesses))
 
 
-def _double_coset(g: tuple[int, ...], gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The double coset G g G as image tuples: the closure of g under left
-    and right multiplication by G's generators."""
-    coset = {g}
-    frontier = [g]
-    while frontier:
-        new_frontier = []
-        for h in frontier:
-            for a in gens:
-                for x in (tuple(a[i] for i in h), tuple(h[i] for i in a)):
-                    if x not in coset:
-                        coset.add(x)
-                        new_frontier.append(x)
-        frontier = new_frontier
-    return coset
+def _lex_ranks(perms: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The lex ranks in S_n of the rows of perms (image arrays), by their
+    base-n codes; table holds every permutation in lex order, so its codes
+    ascend."""
+    weights = perms.shape[1] ** np.arange(perms.shape[1] - 1, -1, -1)
+    return np.searchsorted(table @ weights, perms @ weights)
 
 
 def enumerate_supergroups(G: PermGroup) -> list[PermGroup]:
@@ -327,25 +327,37 @@ def enumerate_supergroups(G: PermGroup) -> list[PermGroup]:
     extension; checking these suffices.
 
     <G, agb> = <G, g> for a, b in G, so one closure per double coset G g G
-    suffices. S_n is scanned in lex order and each double coset is
-    extended by its lex-first element, which is also the first element
+    suffices.  The double cosets are the orbits of G x G on the lex ranks
+    of S_n, h -> a h and h -> h a for each generator a, found by the
+    min-label propagation of the orbit kernel; the least rank of each
+    orbit is its lex-first element, and the least of all, the identity,
+    is G's own.  Each other double coset is extended by its lex-first
+    element, in ascending order, which is also the first element
     producing its group, so the list and each group's generators are
-    those of one closure per permutation.  A closure <G, g> repeats a
-    group K already found iff |K| == |<G, g>| and g is in K.
+    those of one closure per permutation in lex order.  A closure <G, g>
+    repeats a group K already found iff |K| == |<G, g>| and g is in K.
+
+    Each closure's stabilizer chain stops once its order reaches n!, the
+    order of S_n: most extensions of a small group are S_n, and their
+    chains then skip the Schreier generators that could add nothing.
     """
     n = G.n
     if n > SUPERGROUP_MAX_N:
         raise ValueError(f"supergroup enumeration scans S_{n}; capped at "
                          f"n <= {SUPERGROUP_MAX_N}; pass explicit supergroups instead")
-    gens = [a.images for a in G.generators]
-    handled = {h.images for h in G}     # G itself and every double coset extended
+    order = math.factorial(n)
+    table = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int64, count=n * order).reshape(order, n)
+    maps = []
+    for a in G.generators:
+        images = np.asarray(a.images)
+        maps += [_lex_ranks(images[table], table), _lex_ranks(table[:, images], table)]
+    label = min_labels(order, maps)
+    least = np.flatnonzero(label == np.arange(order))
     out: list[PermGroup] = []
-    for images in itertools.permutations(range(n)):
-        if images in handled:
-            continue
-        handled |= _double_coset(images, gens)
-        g = Permutation(images)
-        H = PermGroup.generate(n, list(G.generators) + [g])
+    for rank in least[1:]:
+        g = Permutation._trusted(tuple(table[rank].tolist()))
+        H = PermGroup._bounded(n, [*G.generators, g], order)
         if not any(K.order == H.order and g in K for K in out):
             out.append(H)
     return out
@@ -365,7 +377,9 @@ class NecessaryConditionReport:
     orbit_count: int
     rows: tuple[SupergroupRow, ...]
     holds: bool                       # every strict supergroup is strictly coarser
-    two_closed_cross_check: bool      # verdict from the 2-closure path
+    # verdict from the 2-closure path; None above TWO_CLOSURE_MAX_N, where
+    # it is not computed
+    two_closed_cross_check: bool | None
 
     def __post_init__(self):
         assert all(r.strict == (r.orbit_count < self.orbit_count) for r in self.rows)
@@ -378,7 +392,9 @@ def necessary_condition_check(G: PermGroup,
 
     With no explicit list, single-extension closures are enumerated
     (sufficient, by monotonicity).  The verdict is cross-checked against
-    the 2-closure computation; the two must agree.
+    the 2-closure computation, which must agree with the enumeration; the
+    2-closure is computed only for n <= TWO_CLOSURE_MAX_N, so explicit
+    supergroups beyond that are checked without it.
     """
     base = orbit_count_squared(G)
     enumerated = supergroups is None
@@ -399,7 +415,7 @@ def necessary_condition_check(G: PermGroup,
         hint = next(h.cycle_string() for h in H.generators if h not in G)
         rows.append(SupergroupRow(order=H.order, orbit_count=count,
                                   strict=strict, generator_hint=hint))
-    cross = is_two_closed(G).is_two_closed
+    cross = is_two_closed(G).is_two_closed if G.n <= TWO_CLOSURE_MAX_N else None
     if enumerated and holds != cross:
         raise AssertionError(
             "supergroup scan and 2-closure disagree on the verdict")

@@ -337,11 +337,16 @@ def _cmd_verify_necessary(args) -> int:
         supers = [parse_group_file(p) for p in args.supergroup]
     rep = analysis.necessary_condition_check(G, supergroups=supers)
     rows = [asdict(r) for r in rep.rows]
+    if rep.two_closed_cross_check is None:
+        two_closed = (f"not computed (the 2-closure is capped at "
+                      f"n <= {analysis.TWO_CLOSURE_MAX_N})")
+    else:
+        two_closed = str(rep.two_closed_cross_check).lower()
     lines = [f"group order: {rep.group_order}",
              f"orbit_count_squared: {rep.orbit_count}",
              f"supergroups checked: {len(rep.rows)}",
              f"condition_holds: {str(rep.holds).lower()}",
-             f"two_closed: {str(rep.two_closed_cross_check).lower()}"]
+             f"two_closed: {two_closed}"]
     _emit(args, _config_dict(args, ["group", "supergroup", "seed"]),
           {"group_order": rep.group_order, "orbit_count": rep.orbit_count,
            "rows": rows, "holds": rep.holds,

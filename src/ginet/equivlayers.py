@@ -9,8 +9,8 @@ coefficient per (class, input feature, output feature), plus one bias
 coefficient per (bias class, output feature).  Application streams over
 the class-id table in row chunks; the dense weight tensor is only built
 by materialize_dense.  apply_stacked applies many layers of one space
-at once, each to its own inputs; a single layer's apply_flat is its
-one-layer case.
+at once, each to its own inputs, with one matrix product per layer and
+row chunk; a single layer's apply_flat is its one-layer case.
 
 Feature axes always come last.  Order 0 means an invariant output: a
 plain feature vector.
@@ -131,26 +131,30 @@ def apply_stacked(space: LayerSpace, linear: np.ndarray, bias: np.ndarray,
     inputs: linear (T, C, a, b), bias (T, Cb, b) and X (T, Z, n^k, a)
     give (T, Z, n^l, b).
 
-    Output rows go in chunks: each gathers the weight-sharing block
-    linear[:, class_id] of its rows for every network at once, keeping it
-    within _CHUNK_BUDGET floats (one row at least), and contracts it with
-    the inputs in one batched matrix product.
+    Output rows go in chunks of R rows, each within _CHUNK_BUDGET floats
+    over all T networks (one row at least).  A chunk gathers the
+    weight-sharing block of its rows from the coefficients held as
+    (T, a, C, b), giving each network one (a*n^k, R*b) matrix, and
+    contracts it with that network's inputs, held as (Z, a*n^k), in one
+    matrix product per network.
     """
     n = space.n
     rows_in, rows_out = n**space.k, n**space.l
-    T = linear.shape[0]
-    if X.shape[0] != T or X.shape[2:] != (rows_in, space.a):
+    a, b = space.a, space.b
+    T, Z = linear.shape[0], X.shape[1]
+    if X.shape[0] != T or X.shape[2:] != (rows_in, a):
         raise ValueError(f"input has shape {X.shape}, expected "
-                         f"{(T, X.shape[1], rows_in, space.a)}")
-    cid = space.linear_partition.class_id.reshape(rows_out, rows_in)
-    Xm = X.reshape(T, 1, X.shape[1], rows_in * space.a)
-    out = np.empty((T, X.shape[1], rows_out, space.b))
-    chunk = max(1, _CHUNK_BUDGET // max(1, T * rows_in * space.a * space.b))
+                         f"{(T, Z, rows_in, a)}")
+    cid_t = space.linear_partition.class_id.reshape(rows_out, rows_in).T
+    coeffs = np.ascontiguousarray(linear.transpose(0, 2, 1, 3))     # (T, a, C, b)
+    Xa = X.transpose(0, 1, 3, 2).reshape(T, Z, a * rows_in)
+    out = np.empty((T, Z, rows_out, b))
+    chunk = max(1, _CHUNK_BUDGET // max(1, T * rows_in * a * b))
     for start in range(0, rows_out, chunk):
         stop = min(start + chunk, rows_out)
-        block = np.take(linear, cid[start:stop], axis=1)  # (T, R, rows_in, a, b)
-        Y = np.matmul(Xm, block.reshape(T, stop - start, -1, space.b))
-        out[:, :, start:stop, :] = Y.transpose(0, 2, 1, 3)
+        block = np.take(coeffs, cid_t[:, start:stop], axis=2)       # (T, a, n^k, R, b)
+        Y = np.matmul(Xa, block.reshape(T, a * rows_in, -1))         # (T, Z, R*b)
+        out[:, :, start:stop, :] = Y.reshape(T, Z, stop - start, b)
     out += bias[:, None, space.bias_partition.class_id]
     return out
 

@@ -86,8 +86,7 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _dsigmoid(z):
-    s = _sigmoid(z)
+def _dsigmoid(s):
     return s * (1.0 - s)
 
 
@@ -103,15 +102,16 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _drelu(z):
-    return (z > 0.0).astype(np.float64)
+def _drelu(s):
+    return s > 0.0
 
 
 def _relu_inplace(z):
     np.maximum(z, 0.0, out=z)
 
 
-# name -> (activation, its derivative, the activation applied in place)
+# name -> (activation, its derivative as a function of the activation's
+# output, the activation applied in place)
 ACTIVATIONS: dict[str, tuple[Callable, Callable, Callable]] = {
     "sigmoid": (_sigmoid, _dsigmoid, _sigmoid_inplace),
     "relu": (_relu, _drelu, _relu_inplace),
@@ -331,8 +331,9 @@ def _forward_cached(m: MLP, X: np.ndarray):
     return As, Zs
 
 
-def _backward(m: MLP, As, Zs, T: np.ndarray):
-    """Gradients of mean squared error wrt every weight and bias."""
+def _backward(m: MLP, As, T: np.ndarray):
+    """Gradients of mean squared error wrt every weight and bias; each
+    hidden layer's activation derivative comes from its cached output."""
     dact = ACTIVATIONS[m.activation][1]
     last = len(m.weights) - 1
     diff = As[-1] - T
@@ -340,7 +341,7 @@ def _backward(m: MLP, As, Zs, T: np.ndarray):
     gWs = [None] * len(m.weights)
     gbs = [None] * len(m.weights)
     for i in range(last, -1, -1):
-        dZ = G if i == last else G * dact(Zs[i])
+        dZ = G if i == last else G * dact(As[i + 1])
         gWs[i] = dZ.T @ As[i]
         gbs[i] = dZ.sum(axis=0)
         if i:
@@ -402,7 +403,7 @@ def mlp_train(m: MLP, samples: np.ndarray, targets: np.ndarray,
     reached = False
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
-            As, Zs = _forward_cached(net, X)
+            As, _ = _forward_cached(net, X)
             diff = As[-1] - T
             loss = float(np.mean(diff * diff))
         if not np.isfinite(loss):
@@ -413,7 +414,7 @@ def mlp_train(m: MLP, samples: np.ndarray, targets: np.ndarray,
                 if float(np.max(np.abs(diff))) <= cfg.target_max_error:
                     reached = True
                     break
-        gWs, gbs = _backward(net, As, Zs, T)
+        gWs, gbs = _backward(net, As, T)
         for i in range(len(net.weights)):
             net.weights[i] -= cfg.step * gWs[i]
             net.biases[i] -= cfg.step * gbs[i]
@@ -441,12 +442,10 @@ def grad_check(m: MLP, y: np.ndarray, target: np.ndarray,
     """
     X = np.asarray(y, dtype=np.float64).reshape(1, -1)
     T = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    if m.activation == "relu":
-        _, Zs = _forward_cached(m, X)
-        if any(np.min(np.abs(Z)) < 10 * step for Z in Zs[:-1]):
-            return GradCheckReport(max_rel_error=float("nan"), nonsmooth=True)
     As, Zs = _forward_cached(m, X)
-    gWs, gbs = _backward(m, As, Zs, T)
+    if m.activation == "relu" and any(np.min(np.abs(Z)) < 10 * step for Z in Zs[:-1]):
+        return GradCheckReport(max_rel_error=float("nan"), nonsmooth=True)
+    gWs, gbs = _backward(m, As, T)
 
     def loss_of(net):
         d = net.forward(X) - T

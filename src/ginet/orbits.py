@@ -12,11 +12,12 @@ Tuples are encoded as base-n integers, first digit most significant, so
 code order equals lexicographic order on digits.  Each generator (and,
 for the polynomial relation, each adjacent swap of positions) acts on
 the codes as one permutation array, its code map.  Classes are found by
-min-label propagation over the code maps: every code's label falls to
-the least label among its images, then jumps to its label's label,
-until nothing changes.  The labels are then the least codes of their
-classes, which serve as representatives, and class ids ascend with
-them; the result is deterministic and independent of generator order.
+min-label propagation over the code maps (min_labels, which works on
+any point set): every code's label falls to the least label among its
+images, then jumps to its label's label, until nothing changes.  The
+labels are then the least codes of their classes, which serve as
+representatives, and class ids ascend with them; the result is
+deterministic and independent of generator order.
 """
 
 from __future__ import annotations
@@ -116,18 +117,24 @@ def _num_tuples(n: int, k: int, cap: int | None) -> int:
     return _check_cap(n**k, cap, f"n^k = {n}^{k}")
 
 
-def _orbit_partition(n: int, k: int, kind: str, maps: list[np.ndarray]) -> OrbitPartition:
-    """Classes of the codes 0..n^k-1 under the code permutations in maps."""
-    codes = np.arange(n**k, dtype=np.int64)
-    label = codes
+def min_labels(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """label[p] = the least point of p's orbit, for the points 0..size-1
+    under the group generated by the permutation arrays in maps."""
+    points = np.arange(size, dtype=np.int64)
+    label = points
     while True:
         before = label
         for m in maps:
             label = np.minimum(label, label[m])
         label = label[label]
         if np.array_equal(label, before):
-            break
-    # label[c] is now the least code in c's class
+            return label
+
+
+def _orbit_partition(n: int, k: int, kind: str, maps: list[np.ndarray]) -> OrbitPartition:
+    """Classes of the codes 0..n^k-1 under the code permutations in maps."""
+    codes = np.arange(n**k, dtype=np.int64)
+    label = min_labels(n**k, maps)
     is_least = label == codes
     class_id = (np.cumsum(is_least, dtype=np.int64) - 1)[label]
     class_id.flags.writeable = False

@@ -236,18 +236,35 @@ class _Level:
         self.inverses = {base: identity}
 
 
+class _ChainComplete(Exception):
+    """The orbit lengths of a chain under construction reached its bound."""
+
+
 class _StabilizerChain:
     """A base and strong generating set, built by incremental
-    Schreier-Sims; permutations are image tuples."""
+    Schreier-Sims; permutations are image tuples.
 
-    __slots__ = ("identity", "levels", "order")
+    The order is kept as the product of the orbit lengths.  Every level's
+    orbit lies inside the true basic orbit of its stabilizer, so that
+    product never exceeds the group order.  Given a bound, a known upper
+    bound on the group order (n! for any subgroup of S_n), the build stops
+    as soon as the product reaches it: every orbit is then a full basic
+    orbit and the chain is already complete (Seress 2003).
+    """
 
-    def __init__(self, n: int, gen_images: Iterable[tuple[int, ...]]):
+    __slots__ = ("identity", "levels", "order", "bound")
+
+    def __init__(self, n: int, gen_images: Iterable[tuple[int, ...]],
+                 bound: int | None = None):
         self.identity = tuple(range(n))
         self.levels: list[_Level] = []
-        for g in gen_images:
-            self._add(g, 0)
-        self.order = math.prod(len(level.orbit) for level in self.levels)
+        self.order = 1
+        self.bound = bound
+        try:
+            for g in gen_images:
+                self._add(g, 0)
+        except _ChainComplete:
+            pass
 
     def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Strip g by the representatives of levels start, start+1, ...;
@@ -293,6 +310,9 @@ class _StabilizerChain:
                     level.orbit.append(point)
                     level.reps[point] = su
                     level.inverses[point] = _invert(su)
+                    self.order = self.order // (len(level.orbit) - 1) * len(level.orbit)
+                    if self.order == self.bound:
+                        raise _ChainComplete
                 else:
                     self._add(tuple(map(inverse.__getitem__, su)), i + 1)
             k += 1
@@ -331,6 +351,16 @@ class PermGroup:
                 raise ValueError(f"generator acts on {g.n} points, expected {n}")
             gens.append(g)
         return cls(n, gens)
+
+    @classmethod
+    def _bounded(cls, n: int, generators: Sequence[Permutation], bound: int) -> "PermGroup":
+        """The group generated by the generators (each acting on n points),
+        its chain built only until the order reaches bound, a known upper
+        bound on it (see _StabilizerChain)."""
+        group = object.__new__(cls)
+        group.n, group.generators, group._elements = n, tuple(generators), None
+        group._chain = _StabilizerChain(n, (g.images for g in group.generators), bound)
+        return group
 
     @property
     def order(self) -> int:

@@ -149,6 +149,20 @@ def test_vandermonde_obstruction_rejects_repeated_coords():
         vandermonde_obstruction(4, 1, x0=(1.0, 1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("position", [0, 3])
+def test_vandermonde_obstruction_rejects_non_finite_x0(bad, position, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "_alternating_outputs", no_trials)
+    x0 = [1.0, 2.0, 3.0, 4.0, 5.0]
+    x0[position] = bad
+    with pytest.raises(ValueError, match=rf"x0 needs finite coordinates, "
+                                         rf"got x0\[{position}\] = {bad}$"):
+        vandermonde_obstruction(5, 2, x0=tuple(x0), trials=10)
+
+
 def _random_alternating_network(spaces, rng):
     """Oracle: one random alternating-group-invariant network, built stage
     by stage from per-call draws on one stream."""
@@ -368,6 +382,47 @@ def supergroups_by_scan(G: PermGroup) -> list[PermGroup]:
     return out
 
 
+def _double_coset(g: tuple[int, ...], gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The double coset G g G as image tuples: the closure of g under left
+    and right multiplication by G's generators."""
+    coset = {g}
+    frontier = [g]
+    while frontier:
+        new_frontier = []
+        for h in frontier:
+            for a in gens:
+                for x in (tuple(a[i] for i in h), tuple(h[i] for i in a)):
+                    if x not in coset:
+                        coset.add(x)
+                        new_frontier.append(x)
+        frontier = new_frontier
+    return coset
+
+
+def supergroups_by_double_cosets(G: PermGroup) -> list[PermGroup]:
+    """Oracle: S_n scanned in lex order, one full closure <G, g> per
+    double coset G g G, extended by its lex-first element and marked by a
+    breadth-first search under left and right multiplication."""
+    n = G.n
+    gens = [a.images for a in G.generators]
+    handled = {h.images for h in G}     # G itself and every double coset extended
+    out: list[PermGroup] = []
+    for images in itertools.permutations(range(n)):
+        if images in handled:
+            continue
+        handled |= _double_coset(images, gens)
+        g = Permutation(images)
+        H = PermGroup.generate(n, list(G.generators) + [g])
+        if not any(K.order == H.order and g in K for K in out):
+            out.append(H)
+    return out
+
+
+def _same_orders_and_generators(got: list[PermGroup], want: list[PermGroup]) -> bool:
+    return ([(H.order, H.generators) for H in got]
+            == [(H.order, H.generators) for H in want])
+
+
 def _same_groups(got: list[PermGroup], want: list[PermGroup]) -> bool:
     """Same groups in the same order, with the same generators and the
     same element order."""
@@ -411,6 +466,53 @@ def test_fast_paths_match_scans_on_random_groups(G):
     assert _same_groups(enumerate_supergroups(G), supergroups_by_scan(G))
 
 
+@pytest.mark.parametrize("G", CROSS_CHECK_GROUPS + [cyclic(7)], ids=repr)
+def test_enumerate_supergroups_matches_double_coset_search(G):
+    assert _same_orders_and_generators(enumerate_supergroups(G),
+                                       supergroups_by_double_cosets(G))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets())
+def test_enumerate_supergroups_matches_double_coset_search_on_random_groups(G):
+    assert _same_orders_and_generators(enumerate_supergroups(G),
+                                       supergroups_by_double_cosets(G))
+
+
+def test_enumerate_supergroups_matches_double_coset_search_on_cyclic_subgroups_of_s5():
+    seen = set()
+    for g in symmetric(5):
+        G = PermGroup.generate(5, [g])
+        key = frozenset(h.images for h in G)
+        if key in seen:
+            continue
+        seen.add(key)
+        assert _same_orders_and_generators(enumerate_supergroups(G),
+                                           supergroups_by_double_cosets(G))
+    assert len(seen) == 67
+
+
+def test_enumerate_supergroups_closes_each_double_coset_once(monkeypatch):
+    """Relabelled C6 has 23 double cosets besides its own; one closure
+    each, and the closures that reach S6 stop at 6! with a chain that
+    decides membership like the full one."""
+    bounded = []
+    closure = PermGroup._bounded
+
+    def recorded(n, generators, bound):
+        H = closure(n, generators, bound)
+        bounded.append(H)
+        return H
+
+    monkeypatch.setattr(PermGroup, "_bounded", recorded)
+    G = _relabelled_c6()
+    supers = enumerate_supergroups(G)
+    assert len(bounded) == 23 and len(supers) == 8
+    assert sum(H.order == 720 for H in bounded) == 14
+    for H in bounded:
+        assert H == PermGroup.generate(6, H.generators)
+
+
 # ---------------------------------------------------------- supergroups
 
 def test_enumerate_supergroups_symmetric_empty():
@@ -450,6 +552,21 @@ def test_necessary_condition_symmetric_vacuous():
     rep = necessary_condition_check(symmetric(4))
     assert rep.holds
     assert rep.rows == ()
+
+
+def test_necessary_condition_explicit_supergroups_beyond_the_two_closure_cap(monkeypatch):
+    def no_closure(G, max_witnesses=10):
+        raise AssertionError("2-closure computed")
+
+    monkeypatch.setattr(analysis, "is_two_closed", no_closure)
+    n = analysis.TWO_CLOSURE_MAX_N + 1
+    rep = necessary_condition_check(cyclic(n), supergroups=[dihedral(n)])
+    assert rep.holds and rep.two_closed_cross_check is None
+    assert [(r.order, r.orbit_count, r.strict) for r in rep.rows] == [(2 * n, 5, True)]
+    monkeypatch.undo()
+    n = analysis.TWO_CLOSURE_MAX_N
+    rep = necessary_condition_check(cyclic(n), supergroups=[dihedral(n)])
+    assert rep.two_closed_cross_check is is_two_closed(cyclic(n)).is_two_closed
 
 
 def test_necessary_condition_explicit_supergroups():

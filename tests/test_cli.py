@@ -304,6 +304,20 @@ def test_verify_necessary_explicit_supergroup(tmp_path, capsys):
     assert "supergroups checked: 1" in capsys.readouterr().out
 
 
+def test_verify_necessary_explicit_supergroup_beyond_the_two_closure_cap(tmp_path, capsys):
+    g = tmp_path / "c9.grp"
+    g.write_text("name = cyclic\nn = 9\n")
+    h = tmp_path / "d9.grp"
+    h.write_text("name = dihedral\nn = 9\n")
+    report = tmp_path / "r.json"
+    assert main(["verify", "necessary", "--group", str(g), "--supergroup", str(h),
+                 "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "condition_holds: true" in out
+    assert "two_closed: not computed (the 2-closure is capped at n <= 8)" in out
+    assert json.loads(report.read_text())["results"]["two_closed_cross_check"] is None
+
+
 def test_parse_error_exit2(tmp_path, capsys):
     p = tmp_path / "bad.grp"
     p.write_text("n = 4\ngen: (1 2\n")

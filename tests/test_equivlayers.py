@@ -172,10 +172,10 @@ def test_materialize_dense_agrees_with_apply():
 
 
 @pytest.mark.parametrize("T", [1, 3])
-@pytest.mark.parametrize("budget", [1, 1 << 16])
+@pytest.mark.parametrize("budget", [1, 1 << 16, 1 << 40])
 def test_apply_stacked_matches_dense(T, budget, monkeypatch):
     """Each network of the stack against its own dense matrix; budget 1
-    forces one output row per chunk."""
+    forces one output row per chunk, 1 << 40 puts every row in one chunk."""
     monkeypatch.setattr(equivlayers, "_CHUNK_BUDGET", budget)
     rng = SplitMix64(40 + T)
     cases = [(cyclic(4), 1, 2, 1, 2), (dihedral(5), 2, 1, 2, 3), (alternating(4), 2, 2, 2, 2),

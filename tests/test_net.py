@@ -366,6 +366,43 @@ def test_grad_check_two_hidden_sigmoid():
         assert rep.max_rel_error <= 1e-4
 
 
+def backward_from_preactivations(m, As, Zs, T):
+    """Oracle: the gradients with each activation derivative recomputed
+    from the pre-activations, the sigmoid's as s(z) * (1 - s(z))."""
+    def derivative(z):
+        if m.activation == "relu":
+            return (z > 0.0).astype(np.float64)
+        s = ACTIVATIONS["sigmoid"][0](z)
+        return s * (1.0 - s)
+
+    last = len(m.weights) - 1
+    diff = As[-1] - T
+    G = (2.0 / diff.size) * diff
+    gWs, gbs = [None] * len(m.weights), [None] * len(m.weights)
+    for i in range(last, -1, -1):
+        dZ = G if i == last else G * derivative(Zs[i])
+        gWs[i] = dZ.T @ As[i]
+        gbs[i] = dZ.sum(axis=0)
+        if i:
+            G = dZ @ m.weights[i]
+    return gWs, gbs
+
+
+def test_backward_bit_equal_to_derivative_of_preactivations():
+    rng = SplitMix64(49)
+    nets = _oracle_nets()
+    assert {m.activation for m in nets if len(m.weights) > 1} == {"sigmoid", "relu"}
+    for m in nets:
+        X = rng.uniforms(-1.5, 1.5, 300, m.widths[0])
+        X[:7] = 0.0                     # rows whose pre-activations are the biases
+        T = rng.uniforms(-1, 1, 300, m.widths[-1])
+        As, Zs = ginet.net._forward_cached(m, X)
+        got = ginet.net._backward(m, As, T)
+        want = backward_from_preactivations(m, As, Zs, T)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_grad_check_relu_kink_flagged():
     m = MLP([np.eye(2), np.ones((1, 2))],
             [np.zeros(2), np.zeros(1)], activation="relu")

@@ -473,6 +473,55 @@ def test_chain_residual_joins_every_level_it_passed():
         assert_chain_matches_closure(G)
 
 
+# ------------------------------ chains bounded at n! against full chains
+
+def assert_bounded_chain_matches_full(n, gens):
+    """The chain that stops at n! against the full chain: the same order
+    and the same membership verdict on every element of S_n."""
+    images = [g.images for g in gens]
+    full = permgroup._StabilizerChain(n, images)
+    bounded = permgroup._StabilizerChain(n, images, bound=math.factorial(n))
+    assert bounded.order == full.order
+    for h in itertools.permutations(range(n)):
+        assert (h in bounded) == (h in full)
+    H = PermGroup._bounded(n, gens, math.factorial(n))
+    assert H.order == full.order and H.generators == tuple(gens)
+    assert H == PermGroup.generate(n, gens)
+
+
+@pytest.mark.parametrize("G", NAMED_GROUPS, ids=repr)
+def test_bounded_chain_matches_full_on_named_groups(G):
+    assert_bounded_chain_matches_full(G.n, G.generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=4).map(lambda g: (n, g))))
+def test_bounded_chain_matches_full_on_random_generators(case):
+    n, gens = case
+    assert_bounded_chain_matches_full(n, [Permutation(g) for g in gens])
+
+
+def test_bounded_chain_stops_early_on_symmetric_groups(monkeypatch):
+    """Reaching n! ends the build: fewer Schreier generators are sifted."""
+    sifts = []
+    sift = permgroup._StabilizerChain.sift
+
+    def counted(self, g, start=0):
+        sifts[-1] += 1
+        return sift(self, g, start)
+
+    generators = {n: [g.images for g in symmetric(n).generators] for n in range(3, 8)}
+    monkeypatch.setattr(permgroup._StabilizerChain, "sift", counted)
+    for n, gens in generators.items():
+        sifts.append(0)
+        full = permgroup._StabilizerChain(n, gens)
+        sifts.append(0)
+        bounded = permgroup._StabilizerChain(n, gens, bound=math.factorial(n))
+        assert bounded.order == full.order == math.factorial(n)
+        assert sifts[-1] < sifts[-2]
+
+
 @pytest.fixture
 def listings(monkeypatch):
     """Count the breadth-first listings started and the elements they yield."""
