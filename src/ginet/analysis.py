@@ -337,9 +337,8 @@ def enumerate_supergroups(G: PermGroup) -> list[PermGroup]:
     those of one closure per permutation in lex order.  A closure <G, g>
     repeats a group K already found iff |K| == |<G, g>| and g is in K.
 
-    Each closure's stabilizer chain stops once its order reaches n!, the
-    order of S_n: most extensions of a small group are S_n, and their
-    chains then skip the Schreier generators that could add nothing.
+    Most extensions of a small group are S_n, whose stabilizer chains stop
+    as soon as their order reaches n! (see permgroup._StabilizerChain).
     """
     n = G.n
     if n > SUPERGROUP_MAX_N:
@@ -357,7 +356,7 @@ def enumerate_supergroups(G: PermGroup) -> list[PermGroup]:
     out: list[PermGroup] = []
     for rank in least[1:]:
         g = Permutation._trusted(tuple(table[rank].tolist()))
-        H = PermGroup._bounded(n, [*G.generators, g], order)
+        H = PermGroup.generate(n, [*G.generators, g])
         if not any(K.order == H.order and g in K for K in out):
             out.append(H)
     return out

@@ -317,18 +317,17 @@ def mlp_init(widths: Sequence[int], activation: str, rng: SplitMix64,
     return MLP(weights, biases, activation)
 
 
-def _forward_cached(m: MLP, X: np.ndarray):
+def _forward_cached(m: MLP, X: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output, the input first and the net's output last."""
     act = ACTIVATIONS[m.activation][0]
     last = len(m.weights) - 1
     As = [X]
-    Zs = []
     A = X
     for i, (W, b) in enumerate(zip(m.weights, m.biases)):
         Z = A @ W.T + b
-        Zs.append(Z)
         A = act(Z) if i < last else Z
         As.append(A)
-    return As, Zs
+    return As
 
 
 def _backward(m: MLP, As, T: np.ndarray):
@@ -403,7 +402,7 @@ def mlp_train(m: MLP, samples: np.ndarray, targets: np.ndarray,
     reached = False
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
-            As, _ = _forward_cached(net, X)
+            As = _forward_cached(net, X)
             diff = As[-1] - T
             loss = float(np.mean(diff * diff))
         if not np.isfinite(loss):
@@ -442,8 +441,9 @@ def grad_check(m: MLP, y: np.ndarray, target: np.ndarray,
     """
     X = np.asarray(y, dtype=np.float64).reshape(1, -1)
     T = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    As, Zs = _forward_cached(m, X)
-    if m.activation == "relu" and any(np.min(np.abs(Z)) < 10 * step for Z in Zs[:-1]):
+    As = _forward_cached(m, X)
+    if m.activation == "relu" and any(np.min(np.abs(A @ W.T + b)) < 10 * step
+                                      for A, W, b in zip(As, m.weights[:-1], m.biases[:-1])):
         return GradCheckReport(max_rel_error=float("nan"), nonsmooth=True)
     gWs, gbs = _backward(m, As, T)
 
@@ -604,7 +604,7 @@ def _fit_output_layer(net: MLP, X: np.ndarray, y: np.ndarray) -> None:
     the output layer (the same objective the descent steps follow), with
     a tiny ridge term for numerical conditioning.  Deterministic.
     """
-    As, _ = _forward_cached(net, X)
+    As = _forward_cached(net, X)
     F = As[-2]
     Fb = np.hstack([F, np.ones((F.shape[0], 1))])
     G = Fb.T @ Fb

@@ -237,7 +237,7 @@ class _Level:
 
 
 class _ChainComplete(Exception):
-    """The orbit lengths of a chain under construction reached its bound."""
+    """The orbit lengths of a chain under construction reached n!."""
 
 
 class _StabilizerChain:
@@ -246,20 +246,20 @@ class _StabilizerChain:
 
     The order is kept as the product of the orbit lengths.  Every level's
     orbit lies inside the true basic orbit of its stabilizer, so that
-    product never exceeds the group order.  Given a bound, a known upper
-    bound on the group order (n! for any subgroup of S_n), the build stops
-    as soon as the product reaches it: every orbit is then a full basic
-    orbit and the chain is already complete (Seress 2003).
+    product never exceeds the group order, which divides n!.  The build
+    stops as soon as the product reaches n!: every orbit is then a full
+    basic orbit and the chain is already complete (Seress 2003), so a
+    group that is all of S_n skips the Schreier generators that could add
+    nothing.
     """
 
-    __slots__ = ("identity", "levels", "order", "bound")
+    __slots__ = ("identity", "levels", "order", "full_order")
 
-    def __init__(self, n: int, gen_images: Iterable[tuple[int, ...]],
-                 bound: int | None = None):
+    def __init__(self, n: int, gen_images: Iterable[tuple[int, ...]]):
         self.identity = tuple(range(n))
         self.levels: list[_Level] = []
         self.order = 1
-        self.bound = bound
+        self.full_order = math.factorial(n)
         try:
             for g in gen_images:
                 self._add(g, 0)
@@ -311,7 +311,7 @@ class _StabilizerChain:
                     level.reps[point] = su
                     level.inverses[point] = _invert(su)
                     self.order = self.order // (len(level.orbit) - 1) * len(level.orbit)
-                    if self.order == self.bound:
+                    if self.order == self.full_order:
                         raise _ChainComplete
                 else:
                     self._add(tuple(map(inverse.__getitem__, su)), i + 1)
@@ -351,16 +351,6 @@ class PermGroup:
                 raise ValueError(f"generator acts on {g.n} points, expected {n}")
             gens.append(g)
         return cls(n, gens)
-
-    @classmethod
-    def _bounded(cls, n: int, generators: Sequence[Permutation], bound: int) -> "PermGroup":
-        """The group generated by the generators (each acting on n points),
-        its chain built only until the order reaches bound, a known upper
-        bound on it (see _StabilizerChain)."""
-        group = object.__new__(cls)
-        group.n, group.generators, group._elements = n, tuple(generators), None
-        group._chain = _StabilizerChain(n, (g.images for g in group.generators), bound)
-        return group
 
     @property
     def order(self) -> int:

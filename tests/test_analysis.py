@@ -382,47 +382,6 @@ def supergroups_by_scan(G: PermGroup) -> list[PermGroup]:
     return out
 
 
-def _double_coset(g: tuple[int, ...], gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The double coset G g G as image tuples: the closure of g under left
-    and right multiplication by G's generators."""
-    coset = {g}
-    frontier = [g]
-    while frontier:
-        new_frontier = []
-        for h in frontier:
-            for a in gens:
-                for x in (tuple(a[i] for i in h), tuple(h[i] for i in a)):
-                    if x not in coset:
-                        coset.add(x)
-                        new_frontier.append(x)
-        frontier = new_frontier
-    return coset
-
-
-def supergroups_by_double_cosets(G: PermGroup) -> list[PermGroup]:
-    """Oracle: S_n scanned in lex order, one full closure <G, g> per
-    double coset G g G, extended by its lex-first element and marked by a
-    breadth-first search under left and right multiplication."""
-    n = G.n
-    gens = [a.images for a in G.generators]
-    handled = {h.images for h in G}     # G itself and every double coset extended
-    out: list[PermGroup] = []
-    for images in itertools.permutations(range(n)):
-        if images in handled:
-            continue
-        handled |= _double_coset(images, gens)
-        g = Permutation(images)
-        H = PermGroup.generate(n, list(G.generators) + [g])
-        if not any(K.order == H.order and g in K for K in out):
-            out.append(H)
-    return out
-
-
-def _same_orders_and_generators(got: list[PermGroup], want: list[PermGroup]) -> bool:
-    return ([(H.order, H.generators) for H in got]
-            == [(H.order, H.generators) for H in want])
-
-
 def _same_groups(got: list[PermGroup], want: list[PermGroup]) -> bool:
     """Same groups in the same order, with the same generators and the
     same element order."""
@@ -466,51 +425,50 @@ def test_fast_paths_match_scans_on_random_groups(G):
     assert _same_groups(enumerate_supergroups(G), supergroups_by_scan(G))
 
 
-@pytest.mark.parametrize("G", CROSS_CHECK_GROUPS + [cyclic(7)], ids=repr)
-def test_enumerate_supergroups_matches_double_coset_search(G):
-    assert _same_orders_and_generators(enumerate_supergroups(G),
-                                       supergroups_by_double_cosets(G))
-
-
-@settings(max_examples=40, deadline=None)
-@given(generator_sets())
-def test_enumerate_supergroups_matches_double_coset_search_on_random_groups(G):
-    assert _same_orders_and_generators(enumerate_supergroups(G),
-                                       supergroups_by_double_cosets(G))
-
-
-def test_enumerate_supergroups_matches_double_coset_search_on_cyclic_subgroups_of_s5():
-    seen = set()
+def _cyclic_subgroups_of_s5() -> list[PermGroup]:
+    groups, seen = [], set()
     for g in symmetric(5):
         G = PermGroup.generate(5, [g])
         key = frozenset(h.images for h in G)
-        if key in seen:
-            continue
-        seen.add(key)
-        assert _same_orders_and_generators(enumerate_supergroups(G),
-                                           supergroups_by_double_cosets(G))
-    assert len(seen) == 67
+        if key not in seen:
+            seen.add(key)
+            groups.append(G)
+    assert len(groups) == 67
+    return groups
+
+
+def test_enumerate_supergroups_matches_scan_on_cyclic_subgroups_of_s5():
+    for G in _cyclic_subgroups_of_s5():
+        assert _same_groups(enumerate_supergroups(G), supergroups_by_scan(G))
+
+
+def test_enumerate_supergroups_matches_scan_on_c7():
+    """supergroups_by_scan(cyclic(7)) closes 5033 groups and takes about a
+    minute, so its result is recorded here: every group's order and
+    generators, in the scan's order."""
+    want = [(5040, "(6 7)"), (2520, "(5 6 7)"), (168, "(3 4)(5 7)"), (168, "(3 5)(6 7)"),
+            (21, "(2 3 5)(4 7 6)"), (42, "(2 4 3 7 5 6)"), (14, "(2 7)(3 6)(4 5)")]
+    G = cyclic(7)
+    assert [(H.order, H.generators) for H in enumerate_supergroups(G)] == [
+        (order, (*G.generators, Permutation.parse(7, g))) for order, g in want]
 
 
 def test_enumerate_supergroups_closes_each_double_coset_once(monkeypatch):
     """Relabelled C6 has 23 double cosets besides its own; one closure
-    each, and the closures that reach S6 stop at 6! with a chain that
-    decides membership like the full one."""
-    bounded = []
-    closure = PermGroup._bounded
+    each, 14 of them all of S6."""
+    G = _relabelled_c6()
+    closures = []
+    generate = PermGroup.generate
 
-    def recorded(n, generators, bound):
-        H = closure(n, generators, bound)
-        bounded.append(H)
+    def recorded(n, generators):
+        H = generate(n, generators)
+        closures.append(H)
         return H
 
-    monkeypatch.setattr(PermGroup, "_bounded", recorded)
-    G = _relabelled_c6()
+    monkeypatch.setattr(PermGroup, "generate", recorded)
     supers = enumerate_supergroups(G)
-    assert len(bounded) == 23 and len(supers) == 8
-    assert sum(H.order == 720 for H in bounded) == 14
-    for H in bounded:
-        assert H == PermGroup.generate(6, H.generators)
+    assert len(closures) == 23 and len(supers) == 8
+    assert sum(H.order == 720 for H in closures) == 14
 
 
 # ---------------------------------------------------------- supergroups
@@ -595,19 +553,13 @@ def hint_by_listing(G: PermGroup, H: PermGroup) -> str:
 
 
 def test_generator_hint_matches_listing_on_cyclic_subgroups_of_s5():
-    seen = set()
     checked = 0
-    for g in symmetric(5):
-        G = PermGroup.generate(5, [g])
-        key = frozenset(h.images for h in G)
-        if key in seen:
-            continue
-        seen.add(key)
+    for G in _cyclic_subgroups_of_s5():
         supers = enumerate_supergroups(G)
         rep = necessary_condition_check(G, supergroups=supers)
         assert [r.generator_hint for r in rep.rows] == [hint_by_listing(G, H) for H in supers]
         checked += len(supers)
-    assert len(seen) == 67 and checked > 500
+    assert checked > 500
 
 
 @st.composite

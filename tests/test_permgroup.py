@@ -473,53 +473,28 @@ def test_chain_residual_joins_every_level_it_passed():
         assert_chain_matches_closure(G)
 
 
-# ------------------------------ chains bounded at n! against full chains
+# ------------------------------------------------- chains that stop at n!
 
-def assert_bounded_chain_matches_full(n, gens):
-    """The chain that stops at n! against the full chain: the same order
-    and the same membership verdict on every element of S_n."""
-    images = [g.images for g in gens]
-    full = permgroup._StabilizerChain(n, images)
-    bounded = permgroup._StabilizerChain(n, images, bound=math.factorial(n))
-    assert bounded.order == full.order
-    for h in itertools.permutations(range(n)):
-        assert (h in bounded) == (h in full)
-    H = PermGroup._bounded(n, gens, math.factorial(n))
-    assert H.order == full.order and H.generators == tuple(gens)
-    assert H == PermGroup.generate(n, gens)
+def test_chain_stops_at_n_factorial(monkeypatch):
+    """A chain whose orbit lengths multiply to n! is complete: generators
+    after the ones that reach S_n are never added, and the stopped chain
+    still matches the closure on order and membership over all of S_n."""
+    added = []
+    add = permgroup._StabilizerChain._add
 
+    def recorded(self, g, start):
+        if start == 0:
+            added.append(g)
+        return add(self, g, start)
 
-@pytest.mark.parametrize("G", NAMED_GROUPS, ids=repr)
-def test_bounded_chain_matches_full_on_named_groups(G):
-    assert_bounded_chain_matches_full(G.n, G.generators)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.permutations(range(n)), max_size=4).map(lambda g: (n, g))))
-def test_bounded_chain_matches_full_on_random_generators(case):
-    n, gens = case
-    assert_bounded_chain_matches_full(n, [Permutation(g) for g in gens])
-
-
-def test_bounded_chain_stops_early_on_symmetric_groups(monkeypatch):
-    """Reaching n! ends the build: fewer Schreier generators are sifted."""
-    sifts = []
-    sift = permgroup._StabilizerChain.sift
-
-    def counted(self, g, start=0):
-        sifts[-1] += 1
-        return sift(self, g, start)
-
-    generators = {n: [g.images for g in symmetric(n).generators] for n in range(3, 8)}
-    monkeypatch.setattr(permgroup._StabilizerChain, "sift", counted)
-    for n, gens in generators.items():
-        sifts.append(0)
-        full = permgroup._StabilizerChain(n, gens)
-        sifts.append(0)
-        bounded = permgroup._StabilizerChain(n, gens, bound=math.factorial(n))
-        assert bounded.order == full.order == math.factorial(n)
-        assert sifts[-1] < sifts[-2]
+    monkeypatch.setattr(permgroup._StabilizerChain, "_add", recorded)
+    for n in range(3, 7):
+        extra = [perm(n, f"(1 {n})"), Permutation(tuple(reversed(range(n))))]
+        added.clear()
+        G = PermGroup.generate(n, [*symmetric(n).generators, *extra])
+        assert G.order == math.factorial(n)
+        assert not any(g.images in added for g in extra)
+        assert_chain_matches_closure(G)
 
 
 @pytest.fixture
