@@ -118,11 +118,21 @@ class VandermondeReport:
 def _alternating_layer_spaces(n: int, order: int,
                               width: int = 2) -> tuple[LayerSpace, LayerSpace, LayerSpace]:
     """The layer spaces of a random alternating network: lift the input to
-    the given tensor order, mix at that order, then reduce to order 0."""
+    the given tensor order, mix at that order, then reduce to order 0.
+
+    The order-``order`` partition is the lift's bias partition, the mix's
+    bias partition and the reduction's linear partition; it is computed
+    once, by the lift's layer_space, and shared."""
     A = alternating(n)
-    return (layer_space(A, 1, order, 1, width),
-            layer_space(A, order, order, width, width),
-            layer_space(A, order, 0, width, width))
+    lift = layer_space(A, 1, order, 1, width)
+    at_order = lift.bias_partition
+    return (lift,
+            LayerSpace(A, order, order, width, width,
+                       linear_partition=layer_classes(A, 2 * order),
+                       bias_partition=at_order),
+            LayerSpace(A, order, 0, width, width,
+                       linear_partition=at_order,
+                       bias_partition=layer_classes(A, 0)))
 
 
 def _alternating_coefficients(spaces: tuple[LayerSpace, ...], states: np.ndarray):

@@ -25,6 +25,15 @@ takes the remainder), and runs each block through all layers with the
 bias and activation applied in place, so its (rows, width) activations
 stay in cache however many rows a class-sum stage sends.  Per row the
 arithmetic is that of one call over all rows (see _row_blocks).
+The biases are added from contiguous (tallest block, width) tiles, built
+once per call, which is faster than a row-by-row broadcast add.
+A sigmoid net's hidden layers run only matmul, bias add, tanh and +1:
+MLP.forward folds the sigmoid's two halvings, 0.5 * (1 + tanh(0.5 * z)),
+into copies of the weights and biases (see _fold_halvings).  In binary
+floating point a power-of-two scaling commutes with every product, sum
+and rounding, so the outputs keep their bits, unless a scaled value
+falls into the subnormal range (weights or activations near 1e-308),
+where a halving can round.
 A call with more than one block (2 * _ROW_BLOCK rows or more, such as
 the class sums of approximate_polynomial) splits its blocks into one
 contiguous run per worker and evaluates the runs at once in a shared
@@ -96,6 +105,14 @@ def _sigmoid_inplace(z):
     np.tanh(z, out=z)
     z += 1.0
     z *= 0.5
+
+
+def _tanh_plus_one_inplace(z):
+    """tanh(z) + 1 written into z: MLP.forward's sigmoid step, with the
+    halvings folded into the weights (see _fold_halvings).  Private to the
+    kernel; ACTIVATIONS keeps the whole sigmoid."""
+    np.tanh(z, out=z)
+    z += 1.0
 
 
 def _relu(z):
@@ -255,6 +272,15 @@ class MLP:
         every run's buffers are allocated here, in the calling thread:
         buffers allocated in the pool threads would come from per-thread
         malloc arenas and raise peak memory.
+
+        Once per call, a sigmoid net's weights and biases are copied with
+        the sigmoid's halvings folded in (_fold_halvings), so its hidden
+        layers compute tanh(z) + 1, twice the sigmoid, with z half the
+        pre-activation, and each bias is tiled to the tallest block's
+        height.  Scaling by a power of two is exact and commutes with the
+        matmul's products and sums and with the bias add, so the output
+        has the bits of 0.5 * (1 + tanh(0.5 * z)) applied layer by layer,
+        barring subnormal weights or activations.
         """
         Y = np.asarray(Y, dtype=np.float64)
         single = Y.ndim == 1
@@ -262,14 +288,21 @@ class MLP:
         widths = self.widths
         if X.shape[1] != widths[0]:
             raise ValueError(f"input width {X.shape[1]} != {widths[0]}")
-        act = ACTIVATIONS[self.activation][2]
+        if self.activation == "sigmoid":
+            weights, biases = _fold_halvings(self.weights, self.biases)
+            act = _tanh_plus_one_inplace
+        else:
+            weights, biases = self.weights, self.biases
+            act = ACTIVATIONS[self.activation][2]
         blocks = _row_blocks(X.shape[0])
+        tallest = max(stop - start for start, stop in blocks)
+        tiles = [np.tile(b, (tallest, 1)) for b in biases]
         out = np.empty((X.shape[0], widths[-1]))
         jobs = []
         for run in _split_runs(blocks, min(_WORKERS, len(blocks))):
             height = max(stop - start for start, stop in run)
             buffers = [np.empty((height, w)) for w in widths[1:-1]]
-            jobs.append((self.weights, self.biases, act, X, out, buffers, run))
+            jobs.append((weights, tiles, act, X, out, buffers, run))
         if len(jobs) == 1:
             _forward_blocks(*jobs[0])
         else:
@@ -277,21 +310,39 @@ class MLP:
         return out[0] if single else out
 
 
-def _forward_blocks(weights, biases, act, X, out, buffers, blocks) -> None:
+def _forward_blocks(weights, tiles, act, X, out, buffers, blocks) -> None:
     """MLP.forward's per-block loop: the rows of each (start, stop) block
     of X through all layers, hidden layers into buffers (one per hidden
     width, at least as tall as the tallest block), the last into out.
-    Calls only numpy and act, so it can run in a pool thread."""
+    Each layer is a matmul, its bias added from its tile (the bias in
+    every row, at least as tall as the tallest block), then act in place
+    on hidden layers.  The weights, tiles and act are the ones MLP.forward
+    prepared: for a sigmoid net, halvings folded into the weights and
+    biases and act tanh(z) + 1.  Calls only numpy and act, so it can run
+    in a pool thread."""
     last = len(weights) - 1
     for start, stop in blocks:
         A = X[start:stop]
-        for i, (W, b) in enumerate(zip(weights, biases)):
-            Z = out[start:stop] if i == last else buffers[i][:stop - start]
+        rows = stop - start
+        for i, (W, tile) in enumerate(zip(weights, tiles)):
+            Z = out[start:stop] if i == last else buffers[i][:rows]
             np.matmul(A, W.T, out=Z)
-            Z += b
+            Z += tile[:rows]
             if i < last:
                 act(Z)
             A = Z
+
+
+def _fold_halvings(weights, biases) -> tuple[list, list]:
+    """Copies of a sigmoid net's weights and biases for the kernel's
+    tanh(z) + 1 step.  sigmoid(z) = 0.5 * (1 + tanh(0.5 * z)): the inner
+    halving goes into every hidden layer's weights and bias, and the
+    outer one, on the activation that feeds the next layer, into that
+    layer's weights.  A one-layer net has neither and is copied as is."""
+    last = len(weights) - 1
+    return ([W * ((0.5 if i > 0 else 1.0) * (0.5 if i < last else 1.0))
+             for i, W in enumerate(weights)],
+            [b * 0.5 if i < last else b for i, b in enumerate(biases)])
 
 
 def _split_runs(blocks: list, count: int) -> list[list]:
@@ -482,7 +533,13 @@ class ExactProduct:
         self.max_error = 0.0
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
-        return np.prod(Y, axis=1)
+        """The row products, columns multiplied left to right: the bits of
+        np.prod(Y, axis=1) (the tests compare them for k = 1..8), several
+        times faster on (rows, k) arrays."""
+        out = Y[:, 0].copy()
+        for j in range(1, Y.shape[1]):
+            out *= Y[:, j]
+        return out
 
     def describe(self) -> dict:
         return {"kind": "exact", "k": self.k, "max_error": 0.0}
@@ -847,7 +904,9 @@ class ClassSumStage:
         X = np.concatenate([T[:, :, 0], np.zeros((B, 1))], axis=1)
         out = np.empty((B, len(self.terms)))
         for j, (digits, gadget, outside) in enumerate(self.terms):
-            rows = X[:, digits].reshape(-1, digits.shape[1])
+            # take gives a contiguous (B, members * k) array that reshapes
+            # without a copy; X[:, digits] would need one
+            rows = X.take(digits.reshape(-1), axis=1).reshape(-1, digits.shape[1])
             values = np.asarray(gadget(rows)).reshape(B, len(digits))
             out[:, j] = values[:, :-1].sum(axis=1) + outside * values[:, -1]
         return out
@@ -896,6 +955,8 @@ class GInvariantNetwork:
         return float(out[0]) if single else out
 
     def forward_many(self, X: np.ndarray, chunk: int = 2048) -> np.ndarray:
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
         X = np.asarray(X, dtype=np.float64)
         # an empty batch still makes one (empty) forward call, which checks
         # its width and gives the output its shape

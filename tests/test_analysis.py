@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ginet import analysis
+from ginet import analysis, equivlayers
 from ginet.analysis import (
     _alternating_coefficients,
     _alternating_layer_spaces,
@@ -19,7 +19,7 @@ from ginet.analysis import (
     two_closure,
     vandermonde_obstruction,
 )
-from ginet.equivlayers import random_layer
+from ginet.equivlayers import layer_space, random_layer
 from ginet.net import (
     ActivationStage,
     EquivStage,
@@ -198,6 +198,33 @@ def _swap_points(n):
 def test_vandermonde_obstruction_checks_x0_length_first(x0):
     with pytest.raises(ValueError, match=rf"x0 needs n = 3 coordinates, got {len(x0)}$"):
         vandermonde_obstruction(3, 1, x0=x0)
+
+
+@pytest.mark.parametrize("n, order", [(4, 1), (7, 2), (5, 0), (4, 3)])
+def test_alternating_layer_spaces_compute_each_partition_once(n, order, monkeypatch):
+    calls = []
+
+    def recorded(G, k, cap=None):
+        calls.append(k)
+        return layer_classes(G, k, cap=cap)
+
+    monkeypatch.setattr(analysis, "layer_classes", recorded)
+    monkeypatch.setattr(equivlayers, "layer_classes", recorded)
+    spaces = _alternating_layer_spaces(n, order)
+    # the order-`order` partition serves three places, computed once
+    assert sorted(calls) == sorted([order + 1, order, 2 * order, 0])
+    monkeypatch.undo()
+    A = alternating(n)
+    want = (layer_space(A, 1, order, 1, 2), layer_space(A, order, order, 2, 2),
+            layer_space(A, order, 0, 2, 2))
+    for got, ref in zip(spaces, want):
+        assert (got.group, got.k, got.l, got.a, got.b) == (ref.group, ref.k, ref.l, ref.a, ref.b)
+        for part in ("linear_partition", "bias_partition"):
+            g, r = getattr(got, part), getattr(ref, part)
+            assert (g.n, g.k, g.kind, g.num_classes, g.representatives) == \
+                (r.n, r.k, r.kind, r.num_classes, r.representatives)
+            assert np.array_equal(g.class_id, r.class_id)
+    assert spaces[0].bias_partition is spaces[1].bias_partition is spaces[2].linear_partition
 
 
 def test_random_alternating_net_is_alternating_invariant():

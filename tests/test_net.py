@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ginet.net
 from ginet.net import (
@@ -181,6 +182,47 @@ def test_mlp_forward_same_bits_for_any_worker_count(monkeypatch):
                     assert all(name.startswith("ginet-mlp") for name, _ in runs_seen)
                 else:
                     assert runs_seen[0][0] == threading.current_thread().name
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+@pytest.mark.parametrize("hidden", [0, 1, 2, 3, 4])
+def test_mlp_forward_kernel_bit_equal_to_one_call_per_block(monkeypatch, activation, hidden):
+    # every block of the kernel, whose sigmoid runs on weights with the
+    # halvings folded in, against the whole block through the out-of-place
+    # ACTIVATIONS; hidden = 0 is the one-layer net, which is not scaled
+    rng = SplitMix64(48 + hidden)
+    B = _ROW_BLOCK
+    nets = [mlp_init([1, *[65] * hidden, 1], activation, rng, zero_last=False),
+            mlp_init([65, *[1] * hidden, 65], activation, rng, zero_last=False),
+            mlp_init([1 + rng.randint(65) for _ in range(hidden + 2)], activation, rng,
+                     zero_last=False)]
+    for m in nets:
+        m.biases = [rng.uniforms(-1, 1, b.size) for b in m.biases]
+        for rows in (0, 1, 2 * B - 1, 2 * B, 2 * B + 1):
+            Y = rng.uniforms(-3, 3, rows, m.widths[0])
+            blocks = ginet.net._row_blocks(rows)
+            want = [one_call_forward(m, Y[start:stop]) for start, stop in blocks]
+            for workers in (1, 2, 3, 4):
+                monkeypatch.setattr(ginet.net, "_WORKERS", workers)
+                got = m.forward(Y)
+                assert got.shape == (rows, m.widths[-1])
+                for (start, stop), block in zip(blocks, want):
+                    assert np.array_equal(got[start:stop], block)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+def test_inplace_activations_bit_equal_to_out_of_place(activation):
+    # analysis applies the in-place entries to plain pre-activations, so
+    # they must stay the whole activation, not the kernel's folded step
+    act, _dact, act_inplace = ACTIVATIONS[activation]
+    Z = np.concatenate([SplitMix64(49).uniforms(-8, 8, 4096),
+                        [800.0, -800.0, 0.0, -0.0]])
+    for z in (Z, Z.reshape(4, -1)):
+        got = z.copy()
+        act_inplace(got)
+        want = act(z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("cores, env, workers", [
@@ -424,6 +466,22 @@ def test_exact_product():
     g = ExactProduct(3)
     Y = np.array([[1.0, 2.0, 3.0], [0.5, -2.0, 4.0]])
     assert np.allclose(g(Y), [6.0, -4.0])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_exact_product_bit_equal_to_np_prod(k):
+    rng = SplitMix64(50 + k)
+    Y = rng.uniforms(-2, 2, 600, k)
+    Y[::7, rng.randint(k)] = -0.0
+    Y[::11, 0] = 0.0
+    Y[::13, k - 1] = -0.0
+    for rows in (Y, Y[:0]):
+        got = ExactProduct(k)(rows)
+        want = np.prod(rows, axis=1)
+        assert got.shape == want.shape == (len(rows),)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(ExactProduct(k)(Y)).any()
 
 
 def test_product_mlp_default_regression():
@@ -824,6 +882,53 @@ def test_forward_many_empty_batch():
         assert out.dtype == np.float64
     with pytest.raises(ValueError, match="width"):
         approx.forward_many(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("chunk", [0, -1, -2048])
+def test_forward_many_rejects_chunk_below_1(chunk):
+    net = constant_network(cyclic(4), 2.0)
+    with pytest.raises(ValueError, match=rf"chunk must be >= 1, got {chunk}$"):
+        net.forward_many(np.zeros((3, 4)), chunk=chunk)
+
+
+@st.composite
+def _groups(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=2))
+    return PermGroup.generate(n, [Permutation(g) for g in gens])
+
+
+class _RecordingProduct(ExactProduct):
+    """ExactProduct that keeps a copy of every batch of rows it gets."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.seen = []
+
+    def __call__(self, Y):
+        self.seen.append(Y.copy())
+        return super().__call__(Y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_groups(), st.integers(1, 4), st.sampled_from([0, 1, 2048]), st.integers(0, 2**32 - 1))
+def test_class_sum_gather_matches_fancy_index(G, k, B, seed):
+    # ClassSumStage gathers its gadget rows with take; the reference is the
+    # fancy-indexed X[:, digits], and the rest of the stage over its rows
+    P = poly_classes(G, k)
+    classes = sorted({0, P.num_classes // 2, P.num_classes - 1})
+    gadget = _RecordingProduct(k)
+    stage = ClassSumStage([(P, ci, gadget) for ci in classes])
+    T = SplitMix64(seed).uniforms(-1, 1, B, G.n)[:, :, None]
+    out = stage.forward(T)
+    assert out.shape == (B, len(classes))
+    X = np.concatenate([T[:, :, 0], np.zeros((B, 1))], axis=1)
+    assert len(gadget.seen) == len(stage.terms)
+    for (digits, _g, outside), rows, col in zip(stage.terms, gadget.seen, out.T):
+        want = X[:, digits].reshape(-1, k)
+        assert rows.shape == want.shape and np.array_equal(rows, want)
+        values = np.prod(want, axis=1).reshape(B, len(digits))
+        assert np.array_equal(col, values[:, :-1].sum(axis=1) + outside * values[:, -1])
 
 
 def test_forward_many_memory_s7():
