@@ -29,7 +29,7 @@ import numpy as np
 
 from .equivlayers import LayerSpace, apply_stacked, layer_space
 from .net import ACTIVATIONS
-from .orbits import layer_classes, min_labels, orbit_count_squared
+from .orbits import LAYER, _check_orbits, layer_classes, min_labels, orbit_count_squared
 from .permgroup import PermGroup, Permutation, alternating, symmetric
 from .polybasis import vandermonde_value
 from .rng import SplitMix64, stream_floats
@@ -58,8 +58,7 @@ class LayerEqualityReport:
         return self.rows[t - 1]
 
 
-def an_sn_layer_equality(n: int, max_total_order: int,
-                         cap: int | None = None) -> LayerEqualityReport:
+def an_sn_layer_equality(n: int, max_total_order: int) -> LayerEqualityReport:
     """Compare layer partitions of [n]^t under the alternating and
     symmetric groups for t = 1..max_total_order.
 
@@ -71,11 +70,14 @@ def an_sn_layer_equality(n: int, max_total_order: int,
     if max_total_order < 1:
         raise ValueError(f"max_total_order must be >= 1, got {max_total_order}")
     A, S = alternating(n), symmetric(n)
+    # the largest order first: a run that cannot fit fails before any work
+    for G in (A, S):
+        _check_orbits(G, max_total_order, LAYER)
     rows = []
     holds = True
     for t in range(1, max_total_order + 1):
-        pa = layer_classes(A, t, cap=cap)
-        ps = layer_classes(S, t, cap=cap)
+        pa = layer_classes(A, t)
+        ps = layer_classes(S, t)
         identical = bool(np.array_equal(pa.class_id, ps.class_id))
         rows.append(LayerEqualityRow(total_order=t, sn_classes=ps.num_classes,
                                      an_classes=pa.num_classes, identical=identical))
@@ -437,10 +439,11 @@ def necessary_condition_check(G: PermGroup,
 
 @dataclass
 class SeparatingFunction:
-    """Group average of a bump supported on the base orbit.
+    """A sum of bumps centered on the G-orbit of the base point.
 
     Evaluates to 1 on the G-orbit of the base point and 0 on the rest of
-    the H-orbit; invariant under G by construction.
+    the H-orbit.  It is invariant under G, so it equals its own group
+    average: g permutes the centers and keeps distances.
     """
 
     G: PermGroup
@@ -459,11 +462,7 @@ class SeparatingFunction:
         return float((1.0 - (3.0 * u**2 - 2.0 * u**3)).sum())
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        total = 0.0
-        for g in self.G:
-            total += self.bump(g.apply_vector(x))
-        return total / self.G.order
+        return self.bump(np.asarray(x, dtype=np.float64))
 
 
 def separating_function(G: PermGroup, H: PermGroup, x0) -> SeparatingFunction:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verified property failed (CI can consume the
 verifiers directly), 2 usage or parse errors, 3 a resource limit was
-exceeded (tuple cap, group listing limit, or memory).
+exceeded (a tuple kernel's memory estimate, the group listing limit, or
+memory).
 
 Reports are byte-stable for a fixed seed: the ``timings`` section holds
 deterministic work counters, and wall-clock time goes to stderr only.
@@ -205,8 +206,7 @@ def _config_dict(args, keys: Sequence[str]) -> dict:
 def _cmd_orbits(args) -> int:
     G = parse_group_file(args.group)
     kind = args.kind
-    P = (orbits.poly_classes if kind == "poly" else orbits.layer_classes)(
-        G, args.k, cap=args.cap)
+    P = (orbits.poly_classes if kind == "poly" else orbits.layer_classes)(G, args.k)
     lines = [f"group order: {G.order}", f"num_classes: {P.num_classes}"]
     if args.dump or args.format == "csv":
         csv_lines = ["code,class_id"] + [f"{c},{int(P.class_id[c])}"
@@ -229,7 +229,7 @@ def _cmd_basis(args) -> int:
     G = parse_group_file(args.group)
     k, l = args.order
     a, b = args.features
-    sp = layer_space(G, k, l, a, b, cap=args.cap)
+    sp = layer_space(G, k, l, a, b)
     lines = [f"group order: {G.order}",
              f"linear_dim: {sp.linear_dim}",
              f"bias_dim: {sp.bias_dim}"]
@@ -298,7 +298,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_verify_an_sn(args) -> int:
-    rep = analysis.an_sn_layer_equality(args.n, args.max_order, cap=args.cap)
+    rep = analysis.an_sn_layer_equality(args.n, args.max_order)
     rows = [asdict(r) for r in rep.rows]
     lines = ["order  sn_classes  an_classes  identical"]
     for r in rep.rows:
@@ -365,20 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tuple_cap=False):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", help="write the JSON report to this path")
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        if tuple_cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help="override the tuple cap (also GINET_CAP_TUPLES)")
 
     p = sub.add_parser("orbits", help="enumerate index-tuple classes")
     p.add_argument("--group", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=["layer", "poly"], default="layer")
     p.add_argument("--dump", help="write code,class_id CSV here")
-    common(p, tuple_cap=True)
+    common(p)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("basis", help="equivariant layer space dimensions")
@@ -387,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, nargs=2, metavar=("A", "B"),
                    default=[1, 1])
     p.add_argument("--dump-dense", help="write the class-id table as CSV")
-    common(p, tuple_cap=True)
+    common(p)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("approx", help="build an invariant network approximating "
@@ -416,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("an-sn", help="alternating/symmetric layer coincidence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-order", type=int, required=True)
-    common(p, tuple_cap=True)
+    common(p)
     p.set_defaults(func=_cmd_verify_an_sn)
 
     p = vsub.add_parser("vandermonde", help="low-order alternating networks "

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import OrbitPartition, _check_cap, layer_classes
+from .orbits import OrbitPartition, _check_memory, layer_classes
 from .permgroup import PermGroup
 from .rng import SplitMix64
 
@@ -55,8 +55,7 @@ class LayerSpace:
         return self.bias_partition.num_classes * self.b
 
 
-def layer_space(G: PermGroup, k: int, l: int, a: int = 1, b: int = 1,
-                cap: int | None = None) -> LayerSpace:
+def layer_space(G: PermGroup, k: int, l: int, a: int = 1, b: int = 1) -> LayerSpace:
     """Build the weight-sharing description of the equivariant layer space.
 
     The linear partition lives on [n]^(l+k) with output indices first;
@@ -64,8 +63,8 @@ def layer_space(G: PermGroup, k: int, l: int, a: int = 1, b: int = 1,
     """
     if min(k, l, a, b) < 0 or a == 0 or b == 0:
         raise ValueError("orders must be >= 0 and feature widths >= 1")
-    linear = layer_classes(G, l + k, cap=cap)
-    bias = layer_classes(G, l, cap=cap)
+    linear = layer_classes(G, l + k)
+    bias = layer_classes(G, l)
     return LayerSpace(group=G, k=k, l=l, a=a, b=b,
                       linear_partition=linear, bias_partition=bias)
 
@@ -108,16 +107,17 @@ class EquivariantLayer:
         out = self.apply_flat(flat)
         return out.reshape((n,) * sp.l + (sp.b,))
 
-    def materialize_dense(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def materialize_dense(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (n^l * b) x (n^k * a) matrix and bias vector of length n^l * b.
 
         Flattening is tuple-major, features last, matching apply on
-        reshaped inputs.
+        reshaped inputs.  Each entry costs 16 bytes at the peak: the
+        gather and its transposed copy.
         """
         sp = self.space
         n = sp.n
         rows_in, rows_out = n**sp.k, n**sp.l
-        _check_cap(rows_out * rows_in * sp.a * sp.b, cap, "dense layer entries")
+        _check_memory(16 * rows_out * sp.b * (rows_in * sp.a + 1), "the dense layer")
         cid = sp.linear_partition.class_id.reshape(rows_out, rows_in)
         dense = self.linear_coeffs[cid]                     # (out, in, a, b)
         matrix = dense.transpose(0, 3, 1, 2).reshape(rows_out * sp.b, rows_in * sp.a)
@@ -166,19 +166,17 @@ def zero_layer(space: LayerSpace) -> EquivariantLayer:
                             np.zeros((Cb, space.b)))
 
 
-def random_layer(space: LayerSpace, rng: SplitMix64, scale: float = 1.0,
-                 with_bias: bool = True) -> EquivariantLayer:
+def random_layer(space: LayerSpace, rng: SplitMix64, scale: float = 1.0) -> EquivariantLayer:
     """Coefficients drawn uniformly from [-scale, scale]."""
     C = space.linear_partition.num_classes
     Cb = space.bias_partition.num_classes
     linear = rng.uniforms(-scale, scale, C, space.a, space.b)
-    bias = (rng.uniforms(-scale, scale, Cb, space.b) if with_bias
-            else np.zeros((Cb, space.b)))
+    bias = rng.uniforms(-scale, scale, Cb, space.b)
     return EquivariantLayer(space, linear, bias)
 
 
-def monomial_factors_layer(G: PermGroup, partition: OrbitPartition, class_index: int,
-                           cap: int | None = None) -> EquivariantLayer:
+def monomial_factors_layer(G: PermGroup, partition: OrbitPartition,
+                           class_index: int) -> EquivariantLayer:
     """Order-1 to order-k layer with k channels, one per monomial factor.
 
     Channel m outputs x[t_(m+1)] at each tuple t of the given polynomial
@@ -188,7 +186,7 @@ def monomial_factors_layer(G: PermGroup, partition: OrbitPartition, class_index:
     carried along by the group action.
     """
     k = partition.k
-    space = layer_space(G, 1, k, 1, k, cap=cap)
+    space = layer_space(G, 1, k, 1, k)
     C = space.linear_partition.num_classes
     coeffs = np.zeros((C, 1, k))
     for c, rep in enumerate(space.linear_partition.representatives):

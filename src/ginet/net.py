@@ -251,9 +251,6 @@ class MLP:
     def widths(self) -> list[int]:
         return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
 
-    def num_params(self) -> int:
-        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
-
     def copy(self) -> "MLP":
         return MLP([W.copy() for W in self.weights],
                    [b.copy() for b in self.biases], self.activation)
@@ -411,16 +408,14 @@ class TrainConfig:
     """
 
     seed: int = 0
-    samples: int = 4096
     epochs: int = 5000
     step: float = 0.002
-    hidden: tuple[int, ...] = (64, 64)
     target_max_error: float | None = None
     check_every: int = 250
 
     def __post_init__(self):
-        if min(self.samples, self.epochs, self.check_every) < 1:
-            raise ValueError("samples, epochs, check_every must be positive")
+        if min(self.epochs, self.check_every) < 1:
+            raise ValueError("epochs, check_every must be positive")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
 
@@ -526,8 +521,6 @@ def grad_check(m: MLP, y: np.ndarray, target: np.ndarray,
 class ExactProduct:
     """Multiplies its k inputs exactly; the structural-test stand-in."""
 
-    is_exact = True
-
     def __init__(self, k: int):
         self.k = k
         self.max_error = 0.0
@@ -548,8 +541,6 @@ class ExactProduct:
 class IdentityProduct:
     """k=1 gadget: the exact one-layer identity network."""
 
-    is_exact = True
-
     def __init__(self):
         self.k = 1
         self.max_error = 0.0
@@ -565,16 +556,13 @@ class IdentityProduct:
 class MLPProduct:
     """A trained k-input multiplication MLP, valid on [-box, box]^k."""
 
-    is_exact = False
-
     def __init__(self, mlp: MLP, k: int, box: float, max_error: float,
-                 epochs_trained: int, grid_points: int):
+                 epochs_trained: int):
         self.mlp = mlp
         self.k = k
         self.box = box
         self.max_error = max_error
         self.epochs_trained = epochs_trained
-        self.grid_points = grid_points
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         return self.mlp.forward(Y)[:, 0]
@@ -587,8 +575,6 @@ class MLPProduct:
 
 class TreeProduct:
     """Balanced pairing tree of two-input gadgets for k > 3 factors."""
-
-    is_exact = False
 
     def __init__(self, k: int, levels: list, box: float, max_error: float):
         self.k = k
@@ -631,14 +617,17 @@ def _product_grid(k: int, lo: float, hi: float) -> np.ndarray:
 _PRODUCT_SPREADS = {1: (2.0, 2.0, 0.5, 1.0),
                     2: (1.5, 2.0, 0.35, 1.0),
                     3: (0.8, 2.0, 0.25, 1.0)}
+# a product net's hidden widths, and its seeded training samples
+_PRODUCT_HIDDEN = (64, 64)
+_PRODUCT_SAMPLES = 4096
 
 _RIDGE_REL = 1e-14
 
 
-def _product_net_init(k: int, cfg: TrainConfig, rng: SplitMix64) -> MLP:
+def _product_net_init(k: int, rng: SplitMix64) -> MLP:
     """Seeded smooth hidden features; output layer starts at zero."""
     w1, b1, w2, b2 = _PRODUCT_SPREADS.get(k, _PRODUCT_SPREADS[3])
-    widths = [k, *cfg.hidden, 1]
+    widths = [k, *_PRODUCT_HIDDEN, 1]
     weights, biases = [], []
     for i in range(len(widths) - 1):
         fan_out, fan_in = widths[i + 1], widths[i]
@@ -680,9 +669,9 @@ def _train_pair_core(target: float, cfg: TrainConfig, rng: SplitMix64,
     best-on-grid parameters kept (descent can only improve the result).
     Stops as soon as the held-out grid error meets the target.
     """
-    X = rng.uniforms(-1.0, 1.0, cfg.samples, k)
+    X = rng.uniforms(-1.0, 1.0, _PRODUCT_SAMPLES, k)
     T = np.prod(X, axis=1).reshape(-1, 1)
-    net = _product_net_init(k, cfg, rng)
+    net = _product_net_init(k, rng)
     _fit_output_layer(net, X, T[:, 0])
     grid = _product_grid(k, -1.0, 1.0)
     grid_t = np.prod(grid, axis=1).reshape(-1, 1)
@@ -733,9 +722,8 @@ def train_product_mlp(k: int, c: float, target: float,
         scaled.weights[0] /= c
         scaled.weights[-1] *= c**k
         scaled.biases[-1] *= c**k
-        grid_pts = _product_grid(k, -1.0, 1.0).shape[0]
         return MLPProduct(mlp=scaled, k=k, box=c, max_error=core_err * c**k,
-                          epochs_trained=epochs, grid_points=grid_pts)
+                          epochs_trained=epochs)
 
     # balanced tree: each node's error reaches the output through at most
     # the product of the remaining factor bounds
@@ -978,7 +966,7 @@ class GInvariantNetwork:
 # ----------------------------------------------------------- constructions
 
 def build_term_network(G: PermGroup, partition: OrbitPartition, class_index: int,
-                       product, cap: int | None = None) -> GInvariantNetwork:
+                       product) -> GInvariantNetwork:
     """Network computing (approximately) one basis element: prepare the
     monomial factors on the class, multiply feature-wise, sum."""
     k = partition.k
@@ -986,7 +974,7 @@ def build_term_network(G: PermGroup, partition: OrbitPartition, class_index: int
         raise ValueError("term networks need degree >= 1; constants are a bias")
     if getattr(product, "k", None) != k:
         raise ValueError(f"product gadget arity {getattr(product, 'k', None)} != {k}")
-    layer = monomial_factors_layer(G, partition, class_index, cap=cap)
+    layer = monomial_factors_layer(G, partition, class_index)
     stages = [EquivStage(layer),
               FeatureMapStage([(0, k, product)]),
               SumStage(np.ones(1))]

@@ -18,11 +18,16 @@ images, then jumps to its label's label, until nothing changes.  The
 labels are then the least codes of their classes, which serve as
 representatives, and class ids ascend with them; the result is
 deterministic and independent of generator order.
+
+Before it builds a partition of [n]^k, each function here estimates its
+peak bytes and raises CapExceededError when the estimate is over the
+physical memory.  Nothing sets this limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,18 +40,15 @@ LAYER = "layer"
 POLYNOMIAL = "polynomial"
 EQUALITY = "equality"
 
-DEFAULT_TUPLE_CAP = 10**8
-_CAP_ENV = "GINET_CAP_TUPLES"
+# physical memory in bytes, or None where sysconf does not report it
+try:
+    _PHYSICAL_MEMORY: int | None = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, ValueError, OSError):
+    _PHYSICAL_MEMORY = None
 
 
 class CapExceededError(RuntimeError):
-    """The flat tuple space n^k does not fit under the configured cap."""
-
-
-def tuple_cap() -> int:
-    """Active cap on n^k, overridable via the GINET_CAP_TUPLES env var."""
-    raw = os.environ.get(_CAP_ENV)
-    return int(raw) if raw else DEFAULT_TUPLE_CAP
+    """A kernel's estimated peak memory exceeds the physical memory."""
 
 
 def encode(digits: Sequence[int], n: int) -> int:
@@ -98,23 +100,38 @@ class OrbitPartition:
         return np.bincount(self.class_id, minlength=self.num_classes)
 
 
-def _check_cap(size: int, cap: int | None, what: str) -> int:
-    """size, once the cap (default tuple_cap()) is >= 1 and size is within it."""
-    limit = tuple_cap() if cap is None else cap
-    if limit < 1:
-        raise ValueError(f"the tuple cap must be >= 1, got {limit}")
-    if size > limit:
+def _check_memory(nbytes: int, what: str) -> None:
+    """Raise CapExceededError when an estimated peak of nbytes exceeds
+    the physical memory; called before the kernel allocates anything."""
+    if _PHYSICAL_MEMORY is not None and nbytes > _PHYSICAL_MEMORY:
         raise CapExceededError(
-            f"{what} = {size} exceeds the tuple cap {limit} "
-            f"(override with {_CAP_ENV} or an explicit cap)")
-    return size
+            f"{what} would take an estimated {nbytes} bytes, more than the "
+            f"{_PHYSICAL_MEMORY} bytes of physical memory")
 
 
-def _num_tuples(n: int, k: int, cap: int | None) -> int:
-    """n^k, once k >= 0 and n^k is within the cap."""
+def _representative_bytes(n: int, k: int, order: int, kind: str) -> int:
+    """A bound on the bytes of the representatives of [n]^k under a group
+    of the given order: 64 + 48k bytes per k-tuple of Python ints (its
+    code, digit columns, lists, ints and tuple), times Burnside's class
+    count with every non-identity element fixing as much as a
+    transposition does: (n-2)^k tuples, or the multisets over n-1 cycles."""
+    if kind == POLYNOMIAL:
+        total, moved = math.comb(n + k - 1, k), math.comb(max(n + k - 2, 0), k)
+    else:
+        total, moved = n**k, max(n - 2, 0) ** k
+    classes = -(-(total + (order - 1) * moved) // order)
+    return classes * (64 + 48 * k)
+
+
+def _check_orbits(G: PermGroup, k: int, kind: str) -> None:
+    """k >= 0, and the orbit kernel's estimated peak fits in memory: 8
+    bytes per code for each code map (a generator, or for POLYNOMIAL a
+    position swap) and six working arrays, plus the representatives."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _check_cap(n**k, cap, f"n^k = {n}^{k}")
+    maps = len(G.generators) + (max(k - 1, 0) if kind == POLYNOMIAL else 0)
+    _check_memory(G.n**k * 8 * (maps + 6) + _representative_bytes(G.n, k, G.order, kind),
+                  f"the {kind} classes of [{G.n}]^{k}")
 
 
 def min_labels(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -147,28 +164,28 @@ def _orbit_partition(n: int, k: int, kind: str, maps: list[np.ndarray]) -> Orbit
                           num_classes=len(reps), representatives=reps)
 
 
-def layer_classes(G: PermGroup, k: int, cap: int | None = None) -> OrbitPartition:
+def layer_classes(G: PermGroup, k: int) -> OrbitPartition:
     """Orbits of [n]^k under the diagonal action of G's generators."""
-    _num_tuples(G.n, k, cap)
+    _check_orbits(G, k, LAYER)
     maps = [tuple_action_codes(g, G.n, k) for g in G.generators]
     return _orbit_partition(G.n, k, LAYER, maps)
 
 
-def poly_classes(G: PermGroup, k: int, cap: int | None = None) -> OrbitPartition:
+def poly_classes(G: PermGroup, k: int) -> OrbitPartition:
     """Orbits of [n]^k under G jointly with permutations of tuple positions.
 
     Position permutations are generated by the k-1 adjacent
     transpositions, added as extra code maps.
     """
+    _check_orbits(G, k, POLYNOMIAL)
     n = G.n
-    total = _num_tuples(n, k, cap)
     maps = [tuple_action_codes(g, n, k) for g in G.generators]
-    maps += [np.arange(total).reshape(n**j, n, n, -1).swapaxes(1, 2).reshape(-1)
+    maps += [np.arange(n**k).reshape(n**j, n, n, -1).swapaxes(1, 2).reshape(-1)
              for j in range(k - 1)]
     return _orbit_partition(n, k, POLYNOMIAL, maps)
 
 
-def equality_pattern_partition(n: int, k: int, cap: int | None = None) -> OrbitPartition:
+def equality_pattern_partition(n: int, k: int) -> OrbitPartition:
     """Tuples identified iff their coordinates share the same equality pattern.
 
     (i_a = i_b <-> j_a = j_b for all positions a,b.)  This is exactly
@@ -176,8 +193,11 @@ def equality_pattern_partition(n: int, k: int, cap: int | None = None) -> OrbitP
     partition of the k positions into at most n blocks.  It walks the
     tuples in Python, independently of the code maps, as a reference.
     """
-    total = _num_tuples(n, k, cap)
-    class_id = np.empty(total, dtype=np.int64)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    _check_memory(8 * n**k + _representative_bytes(n, k, math.factorial(n), LAYER),
+                  f"the equality patterns of [{n}]^{k}")
+    class_id = np.empty(n**k, dtype=np.int64)
     reps: list[tuple[int, ...]] = []
     pattern_label: dict[tuple[int, ...], int] = {}
     for code, row in enumerate(itertools.product(range(n), repeat=k)):

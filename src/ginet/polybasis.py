@@ -76,10 +76,6 @@ class Polynomial:
         exps[i] = 1
         return cls(n, {tuple(exps): 1.0})
 
-    @classmethod
-    def from_monomial(cls, n: int, exponents: Sequence[int], coeff: float = 1.0) -> "Polynomial":
-        return cls(n, {tuple(exponents): coeff})
-
     @property
     def degree(self) -> int:
         """Max term degree; the zero polynomial has degree 0."""
@@ -254,11 +250,11 @@ class BasisPolynomial:
     polynomial: Polynomial
 
 
-def basis_polynomials(G: PermGroup, k: int, partition: OrbitPartition | None = None,
-                      cap: int | None = None) -> list[BasisPolynomial]:
+def basis_polynomials(G: PermGroup, k: int,
+                      partition: OrbitPartition | None = None) -> list[BasisPolynomial]:
     """One basis element per polynomial class of [n]^k, in class order."""
     if partition is None:
-        partition = poly_classes(G, k, cap=cap)
+        partition = poly_classes(G, k)
     n = G.n
     out = []
     for c in range(partition.num_classes):

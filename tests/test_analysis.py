@@ -204,9 +204,9 @@ def test_vandermonde_obstruction_checks_x0_length_first(x0):
 def test_alternating_layer_spaces_compute_each_partition_once(n, order, monkeypatch):
     calls = []
 
-    def recorded(G, k, cap=None):
+    def recorded(G, k):
         calls.append(k)
-        return layer_classes(G, k, cap=cap)
+        return layer_classes(G, k)
 
     monkeypatch.setattr(analysis, "layer_classes", recorded)
     monkeypatch.setattr(equivlayers, "layer_classes", recorded)
@@ -633,6 +633,22 @@ def test_separating_function_g_invariant():
         base = f(x)
         for g in G.generators:
             assert f(g.apply_vector(x)) == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("G, H, x0", [
+    (alternating(4), symmetric(4), (1.0, 2.0, 3.0, 4.0)),
+    (cyclic(4), dihedral(4), (0.5, -1.0, 2.0, 3.5)),
+    (cyclic(3), symmetric(3), (1.0, 2.0, 4.0)),
+])
+def test_separating_function_equals_its_group_average(G, H, x0):
+    f = separating_function(G, H, np.array(x0))
+    rng = SplitMix64(11)
+    points = [f.x0, f.witness.apply_vector(f.x0)]
+    points += [f.x0 + rng.uniforms(-0.2, 0.2, G.n) for _ in range(10)]
+    points += [rng.uniforms(-2, 5, G.n) for _ in range(10)]
+    for x in points:
+        average = sum(f.bump(g.apply_vector(x)) for g in G) / G.order
+        assert abs(f(x) - average) <= 1e-12
 
 
 def test_separating_function_orbit_sizes():

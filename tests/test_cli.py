@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -333,24 +334,31 @@ def test_usage_error_exit2():
     assert main(["orbits"]) == 2
 
 
-def test_tuple_cap_exit3(c4_file, capsys):
-    assert main(["orbits", "--group", c4_file, "--k", "12", "--cap", "100"]) == 3
-    assert "resource limit exceeded" in capsys.readouterr().err
+def test_tuple_cap_exit3(c4_file, monkeypatch, capsys):
+    import ginet.orbits
+
+    def no_arrays(*args):
+        raise AssertionError("an n^k array was built")  # would exit 1
+
+    # the memory check exits 3 at once, before the kernel builds a code map
+    monkeypatch.setattr(ginet.orbits, "tuple_action_codes", no_arrays)
+    monkeypatch.setattr(ginet.orbits, "min_labels", no_arrays)
+    for argv in (["orbits", "--group", c4_file, "--k", "40", "--kind", "layer"],
+                 ["orbits", "--group", c4_file, "--k", "40", "--kind", "poly"],
+                 ["basis", "--group", c4_file, "--order", "20", "20"],
+                 ["verify", "an-sn", "--n", "12", "--max-order", "12"]):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "resource limit exceeded" in err and "bytes of physical memory" in err
 
 
-# these used to leak numpy's "can only specify one unknown dimension"
-# (k < 0) or exit 3 as a resource limit (cap < 1)
-@pytest.mark.parametrize("argv, env, message", [
-    (["--k", "-1"], None, "k must be >= 0, got -1"),
-    (["--k", "2", "--cap", "-5"], None, "tuple cap must be >= 1, got -5"),
-    (["--k", "2"], "0", "tuple cap must be >= 1, got 0"),
-])
+# k < 0 used to leak numpy's "can only specify one unknown dimension"
 @pytest.mark.parametrize("kind", ["layer", "poly"])
-def test_orbits_bad_k_or_cap_exit2(c4_file, monkeypatch, capsys, argv, env, message, kind):
-    if env is not None:
-        monkeypatch.setenv("GINET_CAP_TUPLES", env)
-    assert main(["orbits", "--group", c4_file, "--kind", kind, *argv]) == 2
-    assert message in capsys.readouterr().err
+def test_orbits_negative_k_exit2(c4_file, capsys, kind):
+    assert main(["orbits", "--group", c4_file, "--kind", kind, "--k", "-1"]) == 2
+    assert "k must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [GroupTooLargeError("group closure exceeds cap"),
@@ -417,13 +425,18 @@ def test_approx_negative_eval_points_exit2_before_training(c4_file, ring_poly_fi
     assert trained == []
 
 
+# the limit is the physical memory, and nothing sets it: --cap is
+# unrecognized on every command
 @pytest.mark.parametrize("argv", [
     ["closure", "--group", "{group}", "--cap", "-5"],
     ["verify", "vandermonde", "--n", "4", "--max-order", "1", "--cap", "-5"],
     ["verify", "necessary", "--group", "{group}", "--cap", "1"],
     ["approx", "--group", "{group}", "--poly", "{poly}", "--epsilon", "0.05",
      "--exact-mul", "--cap", "100"],
-], ids=["closure", "vandermonde", "necessary", "approx"])
+    ["orbits", "--group", "{group}", "--k", "2", "--cap", "16"],
+    ["basis", "--group", "{group}", "--order", "1", "1", "--cap", "16"],
+    ["verify", "an-sn", "--n", "4", "--max-order", "2", "--cap", "16"],
+], ids=["closure", "vandermonde", "necessary", "approx", "orbits", "basis", "an-sn"])
 def test_cap_is_a_usage_error_where_no_tuple_cap_applies(argv, c4_file, ring_poly_file,
                                                          capsys):
     argv = [a.format(group=c4_file, poly=ring_poly_file) for a in argv]
@@ -432,15 +445,17 @@ def test_cap_is_a_usage_error_where_no_tuple_cap_applies(argv, c4_file, ring_pol
 
 
 @pytest.mark.parametrize("argv", [
-    ["orbits", "--group", "{group}", "--k", "2", "--cap", "16"],
-    ["basis", "--group", "{group}", "--order", "1", "1", "--cap", "16"],
-    ["verify", "an-sn", "--n", "4", "--max-order", "2", "--cap", "16"],
+    ["orbits", "--group", "{group}", "--k", "2"],
+    ["basis", "--group", "{group}", "--order", "1", "1"],
+    ["verify", "an-sn", "--n", "4", "--max-order", "2"],
 ], ids=["orbits", "basis", "an-sn"])
-def test_cap_is_read_by_the_tuple_commands(argv, c4_file, capsys):
+def test_cap_is_read_by_the_tuple_commands(argv, c4_file, monkeypatch, capsys):
+    import ginet.orbits
     argv = [a.format(group=c4_file) for a in argv]
     assert main(argv) == 0
-    assert main(argv[:-1] + ["15"]) == 3
-    assert "exceeds the tuple cap" in capsys.readouterr().err
+    monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", 1000)
+    assert main(argv) == 3
+    assert "more than the 1000 bytes of physical memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["symmetric", "alternating"])

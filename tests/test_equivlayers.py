@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ginet import equivlayers
+from ginet import equivlayers, orbits
 from ginet.equivlayers import (
     EquivariantLayer,
     apply_stacked,
@@ -240,13 +240,15 @@ def test_materialize_dense_row_pattern():
             assert M[r, c] == L.linear_coeffs[cid[r, c], 0, 0]
 
 
-def test_materialize_dense_cap():
-    sp = layer_space(cyclic(4), 2, 2, 1, 1)
-    L = zero_layer(sp)
-    with pytest.raises(CapExceededError):
-        L.materialize_dense(cap=10)
-    with pytest.raises(ValueError, match="tuple cap must be >= 1"):
-        L.materialize_dense(cap=0)
+def test_materialize_dense_cap(monkeypatch):
+    # 16 x 16 entries and 16 biases at 16 bytes each: 4352 bytes
+    L = zero_layer(layer_space(cyclic(4), 2, 2, 1, 1))
+    monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", 4351)
+    with pytest.raises(CapExceededError, match="the dense layer would take an estimated "
+                                               "4352 bytes, more than the 4351 bytes"):
+        L.materialize_dense()
+    monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", 4352)
+    assert L.materialize_dense()[0].shape == (16, 16)
 
 
 # ------------------------------------------------------------ monomial factor layers

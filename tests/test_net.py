@@ -73,19 +73,26 @@ def test_mlp_single_linear_layer_is_matrix_product():
     assert np.allclose(m.forward(y), W @ y + b)
 
 
+def with_random_biases(m, rng):
+    """m with every bias drawn from [-1, 1]; mlp_init starts them at zero,
+    which would leave the bias add untested."""
+    m.biases = [rng.uniforms(-1, 1, b.shape[0]) for b in m.biases]
+    return m
+
+
 def test_mlp_forward_matches_naive_evaluator():
     rng = SplitMix64(2)
     for trial in range(20):
         widths = [3, 1 + rng.randint(5), 1 + rng.randint(5), 2]
         act = "sigmoid" if rng.randint(2) else "relu"
-        m = mlp_init(widths, act, rng, zero_last=False)
+        m = with_random_biases(mlp_init(widths, act, rng, zero_last=False), rng)
         y = rng.uniforms(-2, 2, 3)
         assert np.allclose(m.forward(y), naive_mlp_eval(m, y), atol=1e-12)
 
 
 def test_mlp_batch_matches_single():
     rng = SplitMix64(3)
-    m = mlp_init([2, 8, 1], "sigmoid", rng, zero_last=False)
+    m = with_random_biases(mlp_init([2, 8, 1], "sigmoid", rng, zero_last=False), rng)
     Y = rng.uniforms(-1, 1, 5, 2)
     batch = m.forward(Y)
     for i in range(5):
@@ -111,8 +118,8 @@ def _oracle_nets():
     nets = [train_product_mlp(k, 1.0, 0.1, TrainConfig(seed=k)).mlp for k in (1, 2, 3)]
     assert [len(m.weights) for m in nets] == [1, 3, 3]
     rng = SplitMix64(40)
-    nets.append(mlp_init([3, 16, 8, 2], "relu", rng, zero_last=False))
-    nets.append(mlp_init([4, 3], "sigmoid", rng, zero_last=False))
+    nets.append(with_random_biases(mlp_init([3, 16, 8, 2], "relu", rng, zero_last=False), rng))
+    nets.append(with_random_biases(mlp_init([4, 3], "sigmoid", rng, zero_last=False), rng))
     return nets
 
 

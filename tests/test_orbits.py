@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginet import equivlayers, orbits
 from ginet.orbits import (
     CapExceededError,
     decode,
@@ -14,6 +17,7 @@ from ginet.orbits import (
     poly_classes,
     tuple_action_codes,
 )
+from ginet.equivlayers import layer_space, random_layer
 from ginet.permgroup import (
     PermGroup,
     Permutation,
@@ -23,6 +27,7 @@ from ginet.permgroup import (
     symmetric,
     trivial,
 )
+from ginet.rng import SplitMix64
 
 
 # ---------------------------------------------------------------- oracles
@@ -330,25 +335,60 @@ def test_equality_patterns_match_symmetric_layer_classes():
         assert E.representatives == L.representatives
 
 
-def test_cap_errors():
-    with pytest.raises(CapExceededError, match="cap"):
-        layer_classes(symmetric(4), 3, cap=10)
-    with pytest.raises(CapExceededError):
-        equality_pattern_partition(10, 9, cap=100)
+def test_cap_errors(monkeypatch):
+    # n^k codes at 8 bytes each are far over any machine's memory
+    with pytest.raises(CapExceededError, match=r"layer classes of \[4\]\^40 would take "
+                                               r"an estimated \d+ bytes, more than the"):
+        layer_classes(symmetric(4), 40)
+    with pytest.raises(CapExceededError, match="polynomial classes"):
+        poly_classes(cyclic(4), 40)
+    with pytest.raises(CapExceededError, match="equality patterns"):
+        equality_pattern_partition(10, 30)
+    # the limit is the physical memory; where sysconf does not report it
+    # there is none
+    monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", 100)
+    with pytest.raises(CapExceededError, match="more than the 100 bytes of physical memory"):
+        layer_classes(symmetric(3), 2)
+    monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", None)
+    assert layer_classes(symmetric(3), 2).num_classes == 2
 
 
 @pytest.mark.parametrize("call", [layer_classes, poly_classes])
 def test_negative_k_and_bad_caps_rejected(call):
     with pytest.raises(ValueError, match="k must be >= 0"):
         call(cyclic(4), -1)
-    for cap in (0, -5):
-        with pytest.raises(ValueError, match="tuple cap must be >= 1"):
-            call(cyclic(4), 2, cap=cap)
+    # no caller sets the limit: it is the machine's physical memory
+    with pytest.raises(TypeError, match="cap"):
+        call(cyclic(4), 2, cap=16)
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("GINET_CAP_TUPLES", "5")
-    with pytest.raises(CapExceededError):
-        layer_classes(symmetric(3), 2)
-    monkeypatch.setenv("GINET_CAP_TUPLES", "1000")
-    assert layer_classes(symmetric(3), 2).num_classes == 2
+def _dense(G, k, l, a, b):
+    return random_layer(layer_space(G, k, l, a, b), SplitMix64(0)).materialize_dense
+
+
+@pytest.mark.parametrize("module, prepare", [
+    (orbits, lambda: partial(layer_classes, dihedral(8), 7)),
+    (orbits, lambda: partial(poly_classes, dihedral(8), 6)),
+    (orbits, lambda: partial(poly_classes, alternating(5), 9)),
+    (orbits, lambda: partial(layer_classes, cyclic(4), 10)),
+    (orbits, lambda: partial(layer_classes, trivial(5), 8)),
+    (equivlayers, lambda: _dense(cyclic(4), 5, 5, 1, 1)),
+    (equivlayers, lambda: _dense(dihedral(8), 3, 3, 2, 3)),
+], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "C4-layer-10", "trivial5-layer-8",
+        "dense-C4-5-5", "dense-D8-3-3-features-2-3"])
+def test_memory_estimate_bounds_the_traced_peak(module, prepare, monkeypatch):
+    """Each case has at least 100k codes or dense entries.  The estimate is
+    at least the peak that tracemalloc sees (numpy reports its buffers to
+    it), and at most four times that peak."""
+    run = prepare()  # groups and layer spaces are built untraced
+    estimates = []
+    monkeypatch.setattr(module, "_check_memory",
+                        lambda nbytes, what: estimates.append(nbytes))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak <= estimates[0] <= 4 * peak
