@@ -365,17 +365,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("text", "json")):
+        # csv only where there is a table to print: the orbits command's
+        # code,class_id rows
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", help="write the JSON report to this path")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("orbits", help="enumerate index-tuple classes")
     p.add_argument("--group", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=["layer", "poly"], default="layer")
     p.add_argument("--dump", help="write code,class_id CSV here")
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("basis", help="equivariant layer space dimensions")

@@ -25,6 +25,15 @@ takes the remainder), and runs each block through all layers with the
 bias and activation applied in place, so its (rows, width) activations
 stay in cache however many rows a class-sum stage sends.  Per row the
 arithmetic is that of one call over all rows (see _row_blocks).
+A class-sum stage sends its rows as ClassRows, a view that gathers a
+range of rows on demand, not as a (points * (|class| + 1), k) array:
+MLP.forward gathers each block's rows, with a take over the block's
+point range, into an input buffer inside _forward_blocks, so the gather
+runs in the pool threads too, and ExactProduct gathers and multiplies
+one block at a time.  Each block sees the rows it saw in the gathered
+array, in the same calls, so the outputs keep their bits.  TreeProduct
+gathers the view whole: its pair gadgets must each see all rows in one
+call, since the row count sets the blocks and so the bits.
 The biases are added from contiguous (tallest block, width) tiles, built
 once per call, which is faster than a row-by-row broadcast add.
 A sigmoid net's hidden layers run only matmul, bias add, tanh and +1:
@@ -47,7 +56,9 @@ The caller allocates the output and every run's buffers, because
 allocations in the pool threads come from per-thread malloc arenas and
 raise peak memory.
 Training keeps whole-batch arrays (_forward_cached), because the
-gradients need every activation.
+gradients need every activation; it too adds the bias and applies the
+activation in place (_layer_outputs), with the bits of the allocating
+forms.  The closed-form output fit keeps only the last hidden layer.
 
 The MLP is deliberately minimal: full-batch gradient descent with a
 constant step on mean squared error, seeded splitmix64 initialization,
@@ -57,6 +68,7 @@ seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -255,12 +267,15 @@ class MLP:
         return MLP([W.copy() for W in self.weights],
                    [b.copy() for b in self.biases], self.activation)
 
-    def forward(self, Y: np.ndarray) -> np.ndarray:
-        """Evaluate on one input (1-D) or a batch of rows (2-D).
+    def forward(self, Y) -> np.ndarray:
+        """Evaluate on one input (1-D), a batch of rows (2-D), or the
+        ClassRows of a class-sum term.
 
         The rows run through all layers one row block at a time (see
         _row_blocks), each layer writing into a per-layer buffer that is
         reused across blocks, with bias and activation applied in place.
+        ClassRows are gathered one block at a time into an input buffer,
+        in the thread that runs the block, so no call holds them all.
         With more than one block and more than one worker, the blocks are
         split into _WORKERS contiguous runs that the shared thread pool
         evaluates at once (numpy's matmul and ufuncs release the GIL).
@@ -279,9 +294,13 @@ class MLP:
         has the bits of 0.5 * (1 + tanh(0.5 * z)) applied layer by layer,
         barring subnormal weights or activations.
         """
-        Y = np.asarray(Y, dtype=np.float64)
-        single = Y.ndim == 1
-        X = Y.reshape(1, -1) if single else Y
+        gathered = isinstance(Y, ClassRows)
+        if gathered:
+            X, single = Y, False
+        else:
+            Y = np.asarray(Y, dtype=np.float64)
+            single = Y.ndim == 1
+            X = Y.reshape(1, -1) if single else Y
         widths = self.widths
         if X.shape[1] != widths[0]:
             raise ValueError(f"input width {X.shape[1]} != {widths[0]}")
@@ -299,7 +318,8 @@ class MLP:
         for run in _split_runs(blocks, min(_WORKERS, len(blocks))):
             height = max(stop - start for start, stop in run)
             buffers = [np.empty((height, w)) for w in widths[1:-1]]
-            jobs.append((weights, tiles, act, X, out, buffers, run))
+            source = np.empty((height, widths[0])) if gathered else None
+            jobs.append((weights, tiles, act, X, source, out, buffers, run))
         if len(jobs) == 1:
             _forward_blocks(*jobs[0])
         else:
@@ -307,10 +327,12 @@ class MLP:
         return out[0] if single else out
 
 
-def _forward_blocks(weights, tiles, act, X, out, buffers, blocks) -> None:
+def _forward_blocks(weights, tiles, act, X, source, out, buffers, blocks) -> None:
     """MLP.forward's per-block loop: the rows of each (start, stop) block
     of X through all layers, hidden layers into buffers (one per hidden
     width, at least as tall as the tallest block), the last into out.
+    ClassRows X are first gathered into source, a buffer as tall; an
+    array X (source None) is read in place.
     Each layer is a matmul, its bias added from its tile (the bias in
     every row, at least as tall as the tallest block), then act in place
     on hidden layers.  The weights, tiles and act are the ones MLP.forward
@@ -319,8 +341,12 @@ def _forward_blocks(weights, tiles, act, X, out, buffers, blocks) -> None:
     in a pool thread."""
     last = len(weights) - 1
     for start, stop in blocks:
-        A = X[start:stop]
         rows = stop - start
+        if source is None:
+            A = X[start:stop]
+        else:
+            A = source[:rows]
+            X.gather(start, stop, A)
         for i, (W, tile) in enumerate(zip(weights, tiles)):
             Z = out[start:stop] if i == last else buffers[i][:rows]
             np.matmul(A, W.T, out=Z)
@@ -365,17 +391,24 @@ def mlp_init(widths: Sequence[int], activation: str, rng: SplitMix64,
     return MLP(weights, biases, activation)
 
 
-def _forward_cached(m: MLP, X: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output, the input first and the net's output last."""
-    act = ACTIVATIONS[m.activation][0]
+def _layer_outputs(m: MLP, X: np.ndarray):
+    """Each layer's output in turn, the net's output last.  The bias and
+    the activation are applied in place (ACTIVATIONS[...][2]), with the
+    bits of act(A @ W.T + b)."""
+    act = ACTIVATIONS[m.activation][2]
     last = len(m.weights) - 1
-    As = [X]
     A = X
     for i, (W, b) in enumerate(zip(m.weights, m.biases)):
-        Z = A @ W.T + b
-        A = act(Z) if i < last else Z
-        As.append(A)
-    return As
+        A = A @ W.T
+        A += b
+        if i < last:
+            act(A)
+        yield A
+
+
+def _forward_cached(m: MLP, X: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output, the input first and the net's output last."""
+    return [X, *_layer_outputs(m, X)]
 
 
 def _backward(m: MLP, As, T: np.ndarray):
@@ -518,6 +551,19 @@ def grad_check(m: MLP, y: np.ndarray, target: np.ndarray,
 
 # ----------------------------------------------------------- product gadgets
 
+# rows per block of ExactProduct on ClassRows: (rows, k) floats that stay
+# in cache, with few enough numpy calls per row
+_EXACT_BLOCK = 8 * _ROW_BLOCK
+
+
+def _column_product(Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = the product of Y's columns, left to right."""
+    np.copyto(out, Y[:, 0])
+    for j in range(1, Y.shape[1]):
+        out *= Y[:, j]
+    return out
+
+
 class ExactProduct:
     """Multiplies its k inputs exactly; the structural-test stand-in."""
 
@@ -525,13 +571,21 @@ class ExactProduct:
         self.k = k
         self.max_error = 0.0
 
-    def __call__(self, Y: np.ndarray) -> np.ndarray:
+    def __call__(self, Y) -> np.ndarray:
         """The row products, columns multiplied left to right: the bits of
         np.prod(Y, axis=1) (the tests compare them for k = 1..8), several
-        times faster on (rows, k) arrays."""
-        out = Y[:, 0].copy()
-        for j in range(1, Y.shape[1]):
-            out *= Y[:, j]
+        times faster on (rows, k) arrays.  ClassRows are gathered and
+        multiplied _EXACT_BLOCK rows at a time."""
+        if not isinstance(Y, ClassRows):
+            return _column_product(Y, np.empty(Y.shape[0]))
+        rows = Y.shape[0]
+        out = np.empty(rows)
+        source = np.empty((min(rows, _EXACT_BLOCK), Y.shape[1]))
+        for start in range(0, rows, _EXACT_BLOCK):
+            stop = min(start + _EXACT_BLOCK, rows)
+            block = source[:stop - start]
+            Y.gather(start, stop, block)
+            _column_product(block, out[start:stop])
         return out
 
     def describe(self) -> dict:
@@ -582,7 +636,11 @@ class TreeProduct:
         self.box = box
         self.max_error = max_error
 
-    def __call__(self, Y: np.ndarray) -> np.ndarray:
+    def __call__(self, Y) -> np.ndarray:
+        # ClassRows are gathered whole: each pair gadget must see all the
+        # rows in one call, whose row blocks (and so bits) depend on the
+        # row count (see _row_blocks)
+        Y = np.asarray(Y)
         cols = [Y[:, i] for i in range(Y.shape[1])]
         for level in self.levels:
             nxt = []
@@ -650,8 +708,10 @@ def _fit_output_layer(net: MLP, X: np.ndarray, y: np.ndarray) -> None:
     the output layer (the same objective the descent steps follow), with
     a tiny ridge term for numerical conditioning.  Deterministic.
     """
-    As = _forward_cached(net, X)
-    F = As[-2]
+    F = X
+    # one hidden layer alive at a time: the fit needs only the last
+    for F in itertools.islice(_layer_outputs(net, X), len(net.weights) - 1):
+        pass
     Fb = np.hstack([F, np.ones((F.shape[0], 1))])
     G = Fb.T @ Fb
     lam = _RIDGE_REL * np.trace(G)
@@ -855,6 +915,47 @@ class SumStage:
         return T.sum(axis=1) * self.scales
 
 
+class ClassRows:
+    """The gadget rows of one class-sum term, gathered on demand.
+
+    Row p * m + i holds point p's values at the i-th of the term's m
+    tuples: (X[p, d] for d in digits[i]).  gather copies a range of rows
+    into a caller's buffer, with one take over the range's whole points
+    and one for each cut point at its ends, so a gadget can run block by
+    block without the (points * m, k) array.  np.asarray(rows) gathers
+    all of them.
+    """
+
+    __slots__ = ("X", "digits", "shape")
+
+    def __init__(self, X: np.ndarray, digits: np.ndarray):
+        self.X = X
+        self.digits = digits
+        self.shape = (X.shape[0] * digits.shape[0], digits.shape[1])
+
+    def gather(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Rows start..stop-1 into out[:stop - start].  Allocates nothing
+        (mode="clip" writes to out unbuffered; the digits are in range)."""
+        X, digits = self.X, self.digits
+        m = digits.shape[0]
+        p, i = divmod(start, m)
+        q, j = divmod(stop, m)
+        row = 0
+        if i and p < q:   # the rest of point p
+            X[p].take(digits[i:], mode="clip", out=out[:m - i])
+            row, p, i = m - i, p + 1, 0
+        if p < q:         # whole points p..q-1
+            whole = out[row:row + (q - p) * m].reshape(q - p, -1)
+            X[p:q].take(digits.reshape(-1), axis=1, mode="clip", out=whole)
+            row += (q - p) * m
+        if i < j:         # the start of point q
+            X[q].take(digits[i:j], mode="clip", out=out[row:row + j - i])
+
+    def __array__(self, dtype=None, copy=None):
+        rows = self.X.take(self.digits.reshape(-1), axis=1).reshape(self.shape)
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
 class ClassSumStage:
     """Basis terms evaluated on their class supports.
 
@@ -865,6 +966,14 @@ class ClassSumStage:
     build_unified over build_term_network terms is the lifted reference
     form of the same outputs.  One output feature per
     (partition, class_index, gadget) term.
+
+    Each gadget gets its rows as ClassRows, a view that gathers them on
+    demand, not as a (points * (|class| + 1), k) array: MLP.forward
+    gathers each row block in the thread that runs it, and ExactProduct
+    gathers and multiplies a block at a time, so the stage holds the
+    gadget's outputs but never all of its inputs.  TreeProduct gathers
+    the view whole: each of its pair gadgets must see every row in one
+    call to keep the bits of that call (see _row_blocks).
     """
 
     kind = "invariant_sum"
@@ -879,12 +988,12 @@ class ClassSumStage:
                 raise ValueError(f"product gadget arity {getattr(gadget, 'k', None)} != {k}")
             codes = partition.members(class_index)
             digits = codes[:, None] // n ** np.arange(k - 1, -1, -1) % n
-            # the last row is the zero tuple, read from a zero column that
-            # forward appends, so gadget(0) comes from the same batched call
-            # as the members: a one-row call can round differently (a BLAS
-            # matrix-vector path, about 1e-13 off for trained gadgets), and
-            # the n^k - |class| multiplier would amplify that gap
-            digits = np.vstack([digits, np.full((1, k), -1)])
+            # the last row is the zero tuple, read from the zero column n
+            # that forward appends, so gadget(0) comes from the same batched
+            # call as the members: a one-row call can round differently (a
+            # BLAS matrix-vector path, about 1e-13 off for trained gadgets),
+            # and the n^k - |class| multiplier would amplify that gap
+            digits = np.vstack([digits, np.full((1, k), n)])
             self.terms.append((digits, gadget, n**k - codes.size))
 
     def forward(self, T: np.ndarray) -> np.ndarray:
@@ -892,10 +1001,7 @@ class ClassSumStage:
         X = np.concatenate([T[:, :, 0], np.zeros((B, 1))], axis=1)
         out = np.empty((B, len(self.terms)))
         for j, (digits, gadget, outside) in enumerate(self.terms):
-            # take gives a contiguous (B, members * k) array that reshapes
-            # without a copy; X[:, digits] would need one
-            rows = X.take(digits.reshape(-1), axis=1).reshape(-1, digits.shape[1])
-            values = np.asarray(gadget(rows)).reshape(B, len(digits))
+            values = np.asarray(gadget(ClassRows(X, digits))).reshape(B, len(digits))
             out[:, j] = values[:, :-1].sum(axis=1) + outside * values[:, -1]
         return out
 

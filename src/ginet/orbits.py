@@ -112,15 +112,34 @@ def _check_memory(nbytes: int, what: str) -> None:
 def _representative_bytes(n: int, k: int, order: int, kind: str) -> int:
     """A bound on the bytes of the representatives of [n]^k under a group
     of the given order: 64 + 48k bytes per k-tuple of Python ints (its
-    code, digit columns, lists, ints and tuple), times Burnside's class
-    count with every non-identity element fixing as much as a
-    transposition does: (n-2)^k tuples, or the multisets over n-1 cycles."""
+    code, digit columns, lists, ints and tuple), times _class_bound."""
+    return _class_bound(n, k, order, kind) * (64 + 48 * k)
+
+
+def _class_bound(n: int, k: int, order: int, kind: str) -> int:
+    """A bound on Burnside's class count (1/|G|) sum_g fix(g) for a group
+    of the given order on [n]^k.
+
+    LAYER: a k-tuple is fixed by g when all its entries are, so fix(g) =
+    f^k for g with f fixed points.  At most C(n, f) * D(n - f) elements of
+    S_n fix exactly f points (D the derangement numbers), and the bound
+    gives the order's elements the most fixed points those counts allow,
+    largest f first; for S_n it is the exact count.
+    POLYNOMIAL: every non-identity element fixes at most what a
+    transposition does, the multisets of size k over n - 1 cycles.
+    """
     if kind == POLYNOMIAL:
-        total, moved = math.comb(n + k - 1, k), math.comb(max(n + k - 2, 0), k)
-    else:
-        total, moved = n**k, max(n - 2, 0) ** k
-    classes = -(-(total + (order - 1) * moved) // order)
-    return classes * (64 + 48 * k)
+        total = math.comb(n + k - 1, k) + (order - 1) * math.comb(max(n + k - 2, 0), k)
+        return -(-total // order)
+    derangements = [1, 0]
+    for m in range(2, n + 1):
+        derangements.append((m - 1) * (derangements[-1] + derangements[-2]))
+    left, total = order, 0
+    for f in range(n, -1, -1):
+        count = min(left, math.comb(n, f) * derangements[n - f])
+        total += count * f**k
+        left -= count
+    return -(-total // order)
 
 
 def _check_orbits(G: PermGroup, k: int, kind: str) -> None:

@@ -444,6 +444,31 @@ def test_cap_is_a_usage_error_where_no_tuple_cap_applies(argv, c4_file, ring_pol
     assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
+def test_orbits_format_csv(c4_file, capsys):
+    assert main(["orbits", "--group", c4_file, "--k", "1", "--format", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["code,class_id", "0,0", "1,0", "2,0", "3,0"]
+
+
+# csv is a table of orbits codes; elsewhere it is a usage error, not the
+# text report
+@pytest.mark.parametrize("argv", [
+    ["basis", "--group", "{group}", "--order", "1", "1"],
+    ["approx", "--group", "{group}", "--poly", "{poly}", "--epsilon", "0.05",
+     "--exact-mul"],
+    ["closure", "--group", "{group}"],
+    ["verify", "an-sn", "--n", "4", "--max-order", "2"],
+    ["verify", "vandermonde", "--n", "4", "--max-order", "1"],
+    ["verify", "necessary", "--group", "{group}"],
+], ids=["basis", "approx", "closure", "an-sn", "vandermonde", "necessary"])
+def test_format_csv_is_a_usage_error_outside_orbits(argv, c4_file, ring_poly_file, capsys):
+    argv = [a.format(group=c4_file, poly=ring_poly_file) for a in argv]
+    assert main(argv + ["--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'csv'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["orbits", "--group", "{group}", "--k", "2"],
     ["basis", "--group", "{group}", "--order", "1", "1"],

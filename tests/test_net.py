@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -18,9 +19,11 @@ from ginet.net import (
     GInvariantNetwork,
     IdentityProduct,
     MLP,
+    MLPProduct,
     MLPStage,
     SumStage,
     TrainConfig,
+    TreeProduct,
     TrainingDivergedError,
     approximate_polynomial,
     build_term_network,
@@ -33,7 +36,7 @@ from ginet.net import (
     _ROW_BLOCK,
 )
 from ginet.orbits import layer_classes, poly_classes
-from ginet.permgroup import PermGroup, Permutation, cyclic, symmetric
+from ginet.permgroup import PermGroup, Permutation, cyclic, dihedral, symmetric
 from ginet.polybasis import Polynomial, basis_polynomials
 from ginet.rng import SplitMix64
 
@@ -906,21 +909,21 @@ def _groups(draw):
 
 
 class _RecordingProduct(ExactProduct):
-    """ExactProduct that keeps a copy of every batch of rows it gets."""
+    """ExactProduct that keeps every batch of rows it gets, gathered."""
 
     def __init__(self, k):
         super().__init__(k)
         self.seen = []
 
     def __call__(self, Y):
-        self.seen.append(Y.copy())
+        self.seen.append(np.asarray(Y))
         return super().__call__(Y)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_groups(), st.integers(1, 4), st.sampled_from([0, 1, 2048]), st.integers(0, 2**32 - 1))
 def test_class_sum_gather_matches_fancy_index(G, k, B, seed):
-    # ClassSumStage gathers its gadget rows with take; the reference is the
+    # ClassSumStage hands its gadgets ClassRows; the reference is the
     # fancy-indexed X[:, digits], and the rest of the stage over its rows
     P = poly_classes(G, k)
     classes = sorted({0, P.num_classes // 2, P.num_classes - 1})
@@ -936,6 +939,108 @@ def test_class_sum_gather_matches_fancy_index(G, k, B, seed):
         assert rows.shape == want.shape and np.array_equal(rows, want)
         values = np.prod(want, axis=1).reshape(B, len(digits))
         assert np.array_equal(col, values[:, :-1].sum(axis=1) + outside * values[:, -1])
+
+
+def _materialised_class_sums(stage, T):
+    """ClassSumStage.forward with every gadget's rows gathered into one
+    (points * rows per point, k) array first: the oracle for ClassRows."""
+    B = T.shape[0]
+    X = np.concatenate([T[:, :, 0], np.zeros((B, 1))], axis=1)
+    out = np.empty((B, len(stage.terms)))
+    for j, (digits, gadget, outside) in enumerate(stage.terms):
+        rows = X.take(digits.reshape(-1), axis=1).reshape(-1, digits.shape[1])
+        values = np.asarray(gadget(rows)).reshape(B, len(digits))
+        out[:, j] = values[:, :-1].sum(axis=1) + outside * values[:, -1]
+    return out
+
+
+def _random_product_net(k, seed):
+    # random weights and biases: the bits, not the accuracy, are checked
+    m = mlp_init([k, 8, 8, 1], "sigmoid", SplitMix64(seed), zero_last=False)
+    return MLPProduct(with_random_biases(m, SplitMix64(seed + 1)), k, 1.0, 0.0, 0)
+
+
+def _gather_gadgets():
+    pair = _random_product_net(2, 70)
+    tree = TreeProduct(4, [[("pair", pair), ("pair", _random_product_net(2, 72))],
+                           [("pair", pair)]], 1.0, 0.0)
+    return {"mlp-2": pair, "mlp-3": _random_product_net(3, 74),
+            "identity": IdentityProduct(), "tree-4": tree,
+            **{f"exact-{k}": ExactProduct(k) for k in (1, 2, 3, 4)}}
+
+
+def _cycle_group(n, length):
+    """The cyclic group of a length-cycle on the points 0..length-1 of n."""
+    images = [(i + 1) % length if i < length else i for i in range(n)]
+    return PermGroup.generate(n, [Permutation(images)])
+
+
+@functools.cache
+def _gather_classes(k):
+    """(partition, class) pairs over one n: 8 rows per point (members and
+    the zero tuple; 8 divides _ROW_BLOCK, so 128 points make exactly one
+    block), 6 or 31 (blocks cut points), and more than _ROW_BLOCK (blocks
+    inside one point)."""
+    n, cut = {1: (1030, 30), 2: (33, 30), 3: (12, 5), 4: (8, 5)}[k]
+    large = _cycle_group(n, n) if k == 1 else symmetric(n)
+    classes = []
+    for G in (_cycle_group(n, 7), _cycle_group(n, cut), large):
+        P = layer_classes(G, k)
+        classes.append((P, P.class_of(tuple(range(k)))))
+    return classes
+
+
+@pytest.mark.parametrize("B", [0, 1, 23, 128, 2048, 2049])
+@pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "identity", "tree-4",
+                                  "exact-1", "exact-2", "exact-3", "exact-4"])
+def test_class_rows_match_materialised_rows(name, B):
+    gadget = _gather_gadgets()[name]
+    classes = _gather_classes(gadget.k)
+    stage = ClassSumStage([(P, ci, gadget) for P, ci in classes])
+    per_point = [len(digits) for digits, _g, _o in stage.terms]
+    assert per_point[0] == 8 and _ROW_BLOCK % per_point[1] and per_point[2] > _ROW_BLOCK
+    T = SplitMix64(B).uniforms(-1, 1, B, classes[0][0].n)[:, :, None]
+    if B > 1:
+        T[1, :, 0] = -0.0    # a point of signed zeros
+    got = stage.forward(T)
+    want = _materialised_class_sums(stage, T)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_class_sum_memory_s12_distinct_triples():
+    # the gadget's 2048 x 1321 outputs are the stage's one large array;
+    # gathering all rows first took 3 times as much again
+    G = symmetric(12)
+    P = poly_classes(G, 3)
+    ci = P.class_of((0, 1, 2))
+    assert P.sizes()[ci] == 1320
+    stage = ClassSumStage([(P, ci, ExactProduct(3))])
+    T = SplitMix64(44).uniforms(-1, 1, 2048, 12)[:, :, None]
+    tracemalloc.start()
+    try:
+        out = stage.forward(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2048, 1)
+    assert peak <= 1.5 * 2048 * 1321 * 8
+
+
+def test_fit_output_layer_memory():
+    # one (4096, 64) hidden layer at a time, plus the fit's (4096, 65)
+    # features with their ones column
+    rng = SplitMix64(45)
+    X = rng.uniforms(-1, 1, 4096, 2)
+    y = np.prod(X, axis=1)
+    net = ginet.net._product_net_init(2, rng)
+    tracemalloc.start()
+    try:
+        ginet.net._fit_output_layer(net, X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(net.weights[-1])
+    assert peak <= 5 * 2**20
 
 
 def test_forward_many_memory_s7():

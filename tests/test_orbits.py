@@ -392,3 +392,25 @@ def test_memory_estimate_bounds_the_traced_peak(module, prepare, monkeypatch):
         tracemalloc.stop()
     assert len(estimates) == 1
     assert peak <= estimates[0] <= 4 * peak
+
+
+def test_layer_class_bound_admits_s10_at_k8(monkeypatch):
+    # 10^8 codes take 6.4 GB of code maps and working arrays, and S10 has
+    # Bell(8) = 4140 classes at k = 8; a bound with every non-identity
+    # element fixing 8 points allowed 16 777 239 of them (7.5 GB).  Only
+    # the check runs, not the kernel.
+    monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", 7 * 10**9)
+    orbits._check_orbits(symmetric(10), 8, orbits.LAYER)
+    with pytest.raises(CapExceededError):
+        orbits._check_orbits(symmetric(10), 9, orbits.LAYER)
+    assert orbits._class_bound(10, 8, symmetric(10).order, orbits.LAYER) == 4140
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 4), (6, 3)])
+def test_layer_class_bound_is_exact_for_symmetric(n, k):
+    # Burnside's count over the listed elements of S_n
+    G = symmetric(n)
+    fixed = [sum(g(i) == i for i in range(n)) for g in G.elements]
+    burnside = sum(f**k for f in fixed) // G.order
+    assert burnside == layer_classes(G, k).num_classes
+    assert orbits._class_bound(n, k, G.order, orbits.LAYER) == burnside
