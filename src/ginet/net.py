@@ -12,10 +12,15 @@ and finishing with a weighted-sum head (build_term_network,
 build_unified).
 
 That layer is a 0/1 selection, so a term equals its gadget summed over
-the class members plus (n^k - |class|) * gadget(0).  approximate_polynomial
-evaluates every term that way, on its class support (ClassSumStage),
-instead of on all n^d lifted tuples; the lifted unified network is the
-reference form the tests check it against.
+the class members plus (n^k - |class|) * gadget(0).  Every gadget sorts
+each input row by value before its network or column product sees it
+(rows.value_sorted), so it is a function of the multiset of its inputs,
+the canonical-ordering form of Janossy pooling.  A polynomial class holds
+every ordering of each of its multisets, so approximate_polynomial
+evaluates each term once per multiset, weighted by the multiset's
+multinomial multiplicity (ClassSumStage), instead of on all n^d lifted
+tuples; the lifted unified network is the reference form the tests
+check it against.
 
 Tensors flow through stages flattened: (batch, n^order, features).
 
@@ -25,15 +30,16 @@ takes the remainder), and runs each block through all layers with the
 bias and activation applied in place, so its (rows, width) activations
 stay in cache however many rows a class-sum stage sends.  Per row the
 arithmetic is that of one call over all rows (see _row_blocks).
-A class-sum stage sends its rows as ClassRows, a view that gathers a
-range of rows on demand, not as a (points * (|class| + 1), k) array:
-MLP.forward gathers each block's rows, with a take over the block's
-point range, into an input buffer inside _forward_blocks, so the gather
-runs in the pool threads too, and ExactProduct gathers and multiplies
-one block at a time.  Each block sees the rows it saw in the gathered
-array, in the same calls, so the outputs keep their bits.  TreeProduct
-gathers the view whole: its pair gadgets must each see all rows in one
-call, since the row count sets the blocks and so the bits.
+A class-sum stage sends its rows as ClassRows (rows.py), a view that
+gathers a range of rows on demand, value-sorted, not as a (points *
+(multisets + 1), k) array: MLP.forward gathers each block's rows, with a
+take over the block's point range and an in-place sort, into an input
+buffer inside _forward_blocks, so the gather runs in the pool threads
+too, and ExactProduct gathers and multiplies one block at a time.  Each
+block sees the rows it saw in the gathered array, in the same calls, so
+the outputs keep their bits.  TreeProduct gathers the view whole: its
+pair gadgets must each see all rows in one call, since the row count
+sets the blocks and so the bits.
 The biases are added from contiguous (tallest block, width) tiles, built
 once per call, which is faster than a row-by-row broadcast add.
 A sigmoid net's hidden layers run only matmul, bias add, tanh and +1:
@@ -78,10 +84,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .equivlayers import EquivariantLayer, layer_space, monomial_factors_layer, zero_layer
-from .orbits import OrbitPartition, poly_classes
+from .orbits import (POLYNOMIAL, OrbitPartition, _check_memory, multiplicities, multisets,
+                     poly_classes)
 from .permgroup import PermGroup
 from .polybasis import Polynomial, expand_in_basis, homogeneous_decompose
 from .rng import SplitMix64
+from .rows import ClassRows, value_sorted
 
 
 class TrainingDivergedError(RuntimeError):
@@ -274,8 +282,9 @@ class MLP:
         The rows run through all layers one row block at a time (see
         _row_blocks), each layer writing into a per-layer buffer that is
         reused across blocks, with bias and activation applied in place.
-        ClassRows are gathered one block at a time into an input buffer,
-        in the thread that runs the block, so no call holds them all.
+        ClassRows are gathered, value-sorted, one block at a time into an
+        input buffer, in the thread that runs the block, so no call holds
+        them all.
         With more than one block and more than one worker, the blocks are
         split into _WORKERS contiguous runs that the shared thread pool
         evaluates at once (numpy's matmul and ufuncs release the GIL).
@@ -318,7 +327,7 @@ class MLP:
         for run in _split_runs(blocks, min(_WORKERS, len(blocks))):
             height = max(stop - start for start, stop in run)
             buffers = [np.empty((height, w)) for w in widths[1:-1]]
-            source = np.empty((height, widths[0])) if gathered else None
+            source = (np.empty((height, widths[0])), np.empty(height)) if gathered else None
             jobs.append((weights, tiles, act, X, source, out, buffers, run))
         if len(jobs) == 1:
             _forward_blocks(*jobs[0])
@@ -331,8 +340,9 @@ def _forward_blocks(weights, tiles, act, X, source, out, buffers, blocks) -> Non
     """MLP.forward's per-block loop: the rows of each (start, stop) block
     of X through all layers, hidden layers into buffers (one per hidden
     width, at least as tall as the tallest block), the last into out.
-    ClassRows X are first gathered into source, a buffer as tall; an
-    array X (source None) is read in place.
+    ClassRows X are first gathered into source, a pair of buffers as tall
+    (the rows, and the spare column their sort needs); an array X (source
+    None) is read in place.
     Each layer is a matmul, its bias added from its tile (the bias in
     every row, at least as tall as the tallest block), then act in place
     on hidden layers.  The weights, tiles and act are the ones MLP.forward
@@ -345,8 +355,8 @@ def _forward_blocks(weights, tiles, act, X, source, out, buffers, blocks) -> Non
         if source is None:
             A = X[start:stop]
         else:
-            A = source[:rows]
-            X.gather(start, stop, A)
+            A = source[0][:rows]
+            X.gather(start, stop, A, source[1])
         for i, (W, tile) in enumerate(zip(weights, tiles)):
             Z = out[start:stop] if i == last else buffers[i][:rows]
             np.matmul(A, W.T, out=Z)
@@ -572,19 +582,22 @@ class ExactProduct:
         self.max_error = 0.0
 
     def __call__(self, Y) -> np.ndarray:
-        """The row products, columns multiplied left to right: the bits of
-        np.prod(Y, axis=1) (the tests compare them for k = 1..8), several
-        times faster on (rows, k) arrays.  ClassRows are gathered and
-        multiplied _EXACT_BLOCK rows at a time."""
+        """The products of the value-sorted rows, columns multiplied left
+        to right: the bits of np.prod(np.sort(Y), axis=1) (the tests
+        compare them for k = 1..8), several times faster on (rows, k)
+        arrays, and the same for any column order.  ClassRows are
+        gathered and multiplied _EXACT_BLOCK rows at a time."""
         if not isinstance(Y, ClassRows):
+            Y = value_sorted(Y)
             return _column_product(Y, np.empty(Y.shape[0]))
         rows = Y.shape[0]
         out = np.empty(rows)
         source = np.empty((min(rows, _EXACT_BLOCK), Y.shape[1]))
+        spare = np.empty(source.shape[0])
         for start in range(0, rows, _EXACT_BLOCK):
             stop = min(start + _EXACT_BLOCK, rows)
             block = source[:stop - start]
-            Y.gather(start, stop, block)
+            Y.gather(start, stop, block, spare)
             _column_product(block, out[start:stop])
         return out
 
@@ -593,7 +606,8 @@ class ExactProduct:
 
 
 class IdentityProduct:
-    """k=1 gadget: the exact one-layer identity network."""
+    """k=1 gadget: the exact one-layer identity network (one input, so
+    nothing to sort)."""
 
     def __init__(self):
         self.k = 1
@@ -608,7 +622,8 @@ class IdentityProduct:
 
 
 class MLPProduct:
-    """A trained k-input multiplication MLP, valid on [-box, box]^k."""
+    """A trained k-input multiplication MLP, valid on [-box, box]^k.  It
+    sees each row value-sorted, the region it was trained on."""
 
     def __init__(self, mlp: MLP, k: int, box: float, max_error: float,
                  epochs_trained: int):
@@ -618,8 +633,8 @@ class MLPProduct:
         self.max_error = max_error
         self.epochs_trained = epochs_trained
 
-    def __call__(self, Y: np.ndarray) -> np.ndarray:
-        return self.mlp.forward(Y)[:, 0]
+    def __call__(self, Y) -> np.ndarray:
+        return self.mlp.forward(value_sorted(Y))[:, 0]
 
     def describe(self) -> dict:
         return {"kind": "mlp", "k": self.k, "box": self.box,
@@ -628,7 +643,9 @@ class MLPProduct:
 
 
 class TreeProduct:
-    """Balanced pairing tree of two-input gadgets for k > 3 factors."""
+    """Balanced pairing tree of two-input gadgets for k > 3 factors.  It
+    sorts its k inputs once, before the tree; each pair gadget then sorts
+    its own pair."""
 
     def __init__(self, k: int, levels: list, box: float, max_error: float):
         self.k = k
@@ -640,7 +657,7 @@ class TreeProduct:
         # ClassRows are gathered whole: each pair gadget must see all the
         # rows in one call, whose row blocks (and so bits) depend on the
         # row count (see _row_blocks)
-        Y = np.asarray(Y)
+        Y = np.asarray(value_sorted(Y))
         cols = [Y[:, i] for i in range(Y.shape[1])]
         for level in self.levels:
             nxt = []
@@ -722,18 +739,20 @@ def _fit_output_layer(net: MLP, X: np.ndarray, y: np.ndarray) -> None:
 
 def _train_pair_core(target: float, cfg: TrainConfig, rng: SplitMix64,
                      k: int) -> tuple[MLP, float, int]:
-    """Fit a k-input product net on the normalized box [-1,1]^k.
+    """Fit a k-input product net on the normalized box [-1,1]^k, on
+    value-sorted samples and grid: the gadgets sort their rows, so the
+    net only ever sees the region x_1 <= ... <= x_k.
 
     The output layer is first solved in closed form on the seeded
     samples; gradient descent then refines all layers, with the
     best-on-grid parameters kept (descent can only improve the result).
     Stops as soon as the held-out grid error meets the target.
     """
-    X = rng.uniforms(-1.0, 1.0, _PRODUCT_SAMPLES, k)
+    X = value_sorted(rng.uniforms(-1.0, 1.0, _PRODUCT_SAMPLES, k))
     T = np.prod(X, axis=1).reshape(-1, 1)
     net = _product_net_init(k, rng)
     _fit_output_layer(net, X, T[:, 0])
-    grid = _product_grid(k, -1.0, 1.0)
+    grid = value_sorted(_product_grid(k, -1.0, 1.0))
     grid_t = np.prod(grid, axis=1).reshape(-1, 1)
 
     best = net.copy()
@@ -915,49 +934,8 @@ class SumStage:
         return T.sum(axis=1) * self.scales
 
 
-class ClassRows:
-    """The gadget rows of one class-sum term, gathered on demand.
-
-    Row p * m + i holds point p's values at the i-th of the term's m
-    tuples: (X[p, d] for d in digits[i]).  gather copies a range of rows
-    into a caller's buffer, with one take over the range's whole points
-    and one for each cut point at its ends, so a gadget can run block by
-    block without the (points * m, k) array.  np.asarray(rows) gathers
-    all of them.
-    """
-
-    __slots__ = ("X", "digits", "shape")
-
-    def __init__(self, X: np.ndarray, digits: np.ndarray):
-        self.X = X
-        self.digits = digits
-        self.shape = (X.shape[0] * digits.shape[0], digits.shape[1])
-
-    def gather(self, start: int, stop: int, out: np.ndarray) -> None:
-        """Rows start..stop-1 into out[:stop - start].  Allocates nothing
-        (mode="clip" writes to out unbuffered; the digits are in range)."""
-        X, digits = self.X, self.digits
-        m = digits.shape[0]
-        p, i = divmod(start, m)
-        q, j = divmod(stop, m)
-        row = 0
-        if i and p < q:   # the rest of point p
-            X[p].take(digits[i:], mode="clip", out=out[:m - i])
-            row, p, i = m - i, p + 1, 0
-        if p < q:         # whole points p..q-1
-            whole = out[row:row + (q - p) * m].reshape(q - p, -1)
-            X[p:q].take(digits.reshape(-1), axis=1, mode="clip", out=whole)
-            row += (q - p) * m
-        if i < j:         # the start of point q
-            X[q].take(digits[i:j], mode="clip", out=out[row:row + j - i])
-
-    def __array__(self, dtype=None, copy=None):
-        rows = self.X.take(self.digits.reshape(-1), axis=1).reshape(self.shape)
-        return rows if dtype is None else rows.astype(dtype, copy=False)
-
-
 class ClassSumStage:
-    """Basis terms evaluated on their class supports.
+    """Basis terms evaluated once per multiset of their classes.
 
     The factor layer of a term network is a 0/1 selection: at a tuple t
     of the term's class it yields the factors x_t, elsewhere the zero
@@ -967,13 +945,20 @@ class ClassSumStage:
     form of the same outputs.  One output feature per
     (partition, class_index, gadget) term.
 
+    A polynomial class holds every ordering of each of its multisets, and
+    every gadget is a function of the multiset of its inputs (it sorts
+    each row by value), so the stage keeps one digit row per multiset,
+    the nondecreasing one, with its multinomial multiplicity, and each
+    point reduces to sum(mult * value) + (n^k - |class|) * gadget(0).  A
+    layer partition is not closed under reordering and is rejected.
+
     Each gadget gets its rows as ClassRows, a view that gathers them on
-    demand, not as a (points * (|class| + 1), k) array: MLP.forward
-    gathers each row block in the thread that runs it, and ExactProduct
-    gathers and multiplies a block at a time, so the stage holds the
-    gadget's outputs but never all of its inputs.  TreeProduct gathers
-    the view whole: each of its pair gadgets must see every row in one
-    call to keep the bits of that call (see _row_blocks).
+    demand, value-sorted, not as a (points * (multisets + 1), k) array:
+    MLP.forward gathers each row block in the thread that runs it, and
+    ExactProduct gathers and multiplies a block at a time, so the stage
+    holds the gadget's outputs but never all of its inputs.  TreeProduct
+    gathers the view whole: each of its pair gadgets must see every row
+    in one call to keep the bits of that call (see _row_blocks).
     """
 
     kind = "invariant_sum"
@@ -984,26 +969,49 @@ class ClassSumStage:
             n, k = partition.n, partition.k
             if k < 1:
                 raise ValueError("term networks need degree >= 1; constants are a bias")
+            if partition.kind != POLYNOMIAL:
+                raise ValueError(f"class sums need polynomial classes, not {partition.kind} ones")
             if getattr(gadget, "k", None) != k:
                 raise ValueError(f"product gadget arity {getattr(gadget, 'k', None)} != {k}")
-            codes = partition.members(class_index)
-            digits = codes[:, None] // n ** np.arange(k - 1, -1, -1) % n
+            digits, classes = multisets(partition)
+            digits = digits[classes == class_index]
+            mult = multiplicities(digits)
             # the last row is the zero tuple, read from the zero column n
             # that forward appends, so gadget(0) comes from the same batched
             # call as the members: a one-row call can round differently (a
             # BLAS matrix-vector path, about 1e-13 off for trained gadgets),
             # and the n^k - |class| multiplier would amplify that gap
             digits = np.vstack([digits, np.full((1, k), n)])
-            self.terms.append((digits, gadget, n**k - codes.size))
+            self.terms.append((digits, mult.astype(np.float64), gadget,
+                               n**k - int(mult.sum())))
 
     def forward(self, T: np.ndarray) -> np.ndarray:
         B = T.shape[0]
         X = np.concatenate([T[:, :, 0], np.zeros((B, 1))], axis=1)
         out = np.empty((B, len(self.terms)))
-        for j, (digits, gadget, outside) in enumerate(self.terms):
+        for j, (digits, mult, gadget, outside) in enumerate(self.terms):
             values = np.asarray(gadget(ClassRows(X, digits))).reshape(B, len(digits))
-            out[:, j] = values[:, :-1].sum(axis=1) + outside * values[:, -1]
+            weighted = values[:, :-1]
+            weighted *= mult     # in place: the gadget's output is the stage's own
+            out[:, j] = weighted.sum(axis=1) + outside * values[:, -1]
         return out
+
+
+def _class_sum_bytes(sizes, points: int, exact_mul: bool) -> int:
+    """An estimate of ClassSumStage.forward's peak bytes on points points,
+    for terms given as (degree k, multisets m): every term's digit table
+    and multiplicities, then the largest term's points * (m + 1) gadget
+    outputs and its run buffers.  Those are ExactProduct's block, or
+    MLP.forward's per-worker blocks through a k->64->64->1 net plus, for
+    a trained tree (k > 3), its rows gathered whole with a pair and its
+    product, k + 3 floats per row."""
+    def peak(k, rows):
+        if exact_mul:
+            return rows + min(rows, _EXACT_BLOCK) * (k + 1)
+        blocks = _WORKERS * 2 * _ROW_BLOCK * (k + 1 + sum(_PRODUCT_HIDDEN))
+        return rows * (1 + (k + 3) * (k > 3)) + blocks
+    return 8 * (sum((m + 1) * (k + 1) for k, m in sizes)
+                + max((peak(k, points * (m + 1)) for k, m in sizes), default=0))
 
 
 class MLPStage:
@@ -1176,7 +1184,9 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
                            ) -> tuple[GInvariantNetwork, ApproximationReport]:
     """Expand an invariant polynomial over the class basis, approximate
     every term with a product gadget, and return one network that sums
-    each term over its class support and weights the sums.
+    each term over the multisets of its class and weights the sums.
+    Before any gadget trains, the class sums' estimated peak for one
+    forward_many chunk goes to the memory check (CapExceededError).
 
     Each degree-k gadget trains to the n^-k * epsilon / |alpha|_1 target
     so the term-by-term error chain keeps the total below epsilon.
@@ -1199,6 +1209,13 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     l1 = sum(abs(a) for a in coeffs.values())
     constant = coeffs.get((0, 0), 0.0)
     degrees = sorted({k for (k, _ci) in coeffs if k >= 1})
+
+    # fail fast, before any gadget trains: the class sums of one
+    # forward_many chunk must fit in memory
+    chunk = min(eval_points, 2048)
+    sizes = [(k, np.count_nonzero(multisets(partitions[k])[1] == ci)) for k, ci in coeffs if k]
+    _check_memory(_class_sum_bytes(sizes, chunk, exact_mul),
+                  f"the class sums of {len(sizes)} terms on {chunk} points")
 
     gadgets: dict[int, object] = {}
     for k in degrees:

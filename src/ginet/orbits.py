@@ -204,6 +204,29 @@ def poly_classes(G: PermGroup, k: int) -> OrbitPartition:
     return _orbit_partition(n, k, POLYNOMIAL, maps)
 
 
+def multisets(partition: OrbitPartition) -> tuple[np.ndarray, np.ndarray]:
+    """The nondecreasing digit rows of [n]^k, one per multiset, in code
+    order, and the class of each.  A polynomial class holds every
+    ordering of each of its multisets, so its rows here list it whole."""
+    n, k = partition.n, partition.k
+    digits = np.array(list(itertools.combinations_with_replacement(range(n), k)),
+                      dtype=np.int64).reshape(-1, k)
+    return digits, partition.class_id[digits @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)]
+
+
+def multiplicities(digits: np.ndarray) -> np.ndarray:
+    """k! / (e_1! ... e_r!) for each nondecreasing row whose values occur
+    e_1, ..., e_r times: the number of its orderings.  Built prefix by
+    prefix, M_j = M_{j-1} * j / (the run length at column j), so every
+    step is an exact integer."""
+    mult = np.ones(digits.shape[0], dtype=np.int64)
+    run = np.ones_like(mult)
+    for j in range(1, digits.shape[1]):
+        run = np.where(digits[:, j] == digits[:, j - 1], run + 1, 1)
+        mult = mult * (j + 1) // run
+    return mult
+
+
 def equality_pattern_partition(n: int, k: int) -> OrbitPartition:
     """Tuples identified iff their coordinates share the same equality pattern.
 

@@ -425,6 +425,24 @@ def test_approx_negative_eval_points_exit2_before_training(c4_file, ring_poly_fi
     assert trained == []
 
 
+def test_approx_class_sum_memory_exit3_before_training(c4_file, ring_poly_file,
+                                                      monkeypatch, capsys):
+    # the C4 classes (a few kB) fit; the class sums of one 2048-point
+    # chunk, estimated before any gadget trains, do not
+    import ginet.net
+    import ginet.orbits
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a gadget trained before the class-sum memory check")
+
+    monkeypatch.setattr(ginet.net, "train_product_mlp", no_training)
+    monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", 100_000)
+    assert main(["approx", "--group", c4_file, "--poly", ring_poly_file,
+                 "--epsilon", "0.05"]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit exceeded: the class sums of 1 terms on 2048 points" in err
+
+
 # the limit is the physical memory, and nothing sets it: --cap is
 # unrecognized on every command
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,8 @@ from ginet.orbits import (
     encode,
     equality_pattern_partition,
     layer_classes,
+    multiplicities,
+    multisets,
     orbit_count_squared,
     poly_classes,
     tuple_action_codes,
@@ -147,6 +149,23 @@ def test_tuple_action_codes_moves_every_tuple(G, k):
         assert m.shape == (G.n**k,)
         for t in itertools.product(range(G.n), repeat=k):
             assert m[encode(t, G.n)] == encode(tuple(g(i) for i in t), G.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.integers(1, 4))
+def test_multisets_one_sorted_row_per_multiset_with_its_orderings(G, k):
+    # oracle: group every tuple of [n]^k by its sorted digits
+    P = poly_classes(G, k)
+    digits, classes = multisets(P)
+    orderings = {}
+    for t in itertools.product(range(G.n), repeat=k):
+        orderings.setdefault(tuple(sorted(t)), []).append(P.class_of(t))
+    assert [tuple(row) for row in digits.tolist()] == sorted(orderings)
+    assert multiplicities(digits).tolist() == [len(orderings[m]) for m in sorted(orderings)]
+    # every ordering of a multiset lies in its class
+    assert all(set(orderings[m]) == {ci} for m, ci in zip(sorted(orderings), classes.tolist()))
+    assert np.array_equal(np.bincount(classes, weights=multiplicities(digits),
+                                      minlength=P.num_classes), P.sizes())
 
 
 # ---------------------------------------------------------------- encoding
