@@ -1213,7 +1213,8 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     # fail fast, before any gadget trains: the class sums of one
     # forward_many chunk must fit in memory
     chunk = min(eval_points, 2048)
-    sizes = [(k, np.count_nonzero(multisets(partitions[k])[1] == ci)) for k, ci in coeffs if k]
+    counts = {k: np.bincount(multisets(partitions[k])[1]).tolist() for k in degrees}
+    sizes = [(k, counts[k][ci]) for k, ci in coeffs if k]
     _check_memory(_class_sum_bytes(sizes, chunk, exact_mul),
                   f"the class sums of {len(sizes)} terms on {chunk} points")
 

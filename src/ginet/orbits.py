@@ -207,10 +207,11 @@ def poly_classes(G: PermGroup, k: int) -> OrbitPartition:
 def multisets(partition: OrbitPartition) -> tuple[np.ndarray, np.ndarray]:
     """The nondecreasing digit rows of [n]^k, one per multiset, in code
     order, and the class of each.  A polynomial class holds every
-    ordering of each of its multisets, so its rows here list it whole."""
+    ordering of each of its multisets, so its rows here list it whole.
+    At k = 0 the one row is the empty one, in class 0."""
     n, k = partition.n, partition.k
-    digits = np.array(list(itertools.combinations_with_replacement(range(n), k)),
-                      dtype=np.int64).reshape(-1, k)
+    rows = list(itertools.combinations_with_replacement(range(n), k))
+    digits = np.array(rows, dtype=np.int64).reshape(len(rows), k)
     return digits, partition.class_id[digits @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)]
 
 

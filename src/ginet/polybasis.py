@@ -9,6 +9,11 @@ polynomial classes of the index space.  Summing the monomials of one
 class therefore gives a basis element, and every invariant expands over
 these with coefficients read off its representative monomials.
 
+A class holds every ordering of each of its multisets, so
+basis_polynomials and expand_in_basis read it as its multisets
+(orbits.multisets), each monomial once with its multinomial
+multiplicity, and never walk the n^k tuples.
+
 Invariance itself is decided exactly: p is G-invariant iff every
 generator of G fixes it, so the check compares p.permute(g) with p for
 each generator and never enumerates the group or samples points.  The
@@ -28,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .orbits import OrbitPartition, decode, poly_classes
+from .orbits import OrbitPartition, decode, multiplicities, multisets, poly_classes
 from .permgroup import PermGroup, Permutation
 
 INVARIANCE_TOL = 1e-9
@@ -250,27 +255,26 @@ class BasisPolynomial:
     polynomial: Polynomial
 
 
+def _multiset_table(partition: OrbitPartition) -> tuple[list[int], list[Monomial], list[int]]:
+    """The degree-k monomials of a polynomial partition, one per multiset
+    in code order: each one's class, exponent vector and multiplicity
+    (the number of tuples that produce it)."""
+    digits, classes = multisets(partition)
+    exps = (digits[:, :, None] == np.arange(partition.n)).sum(axis=1)
+    return classes.tolist(), list(map(tuple, exps.tolist())), multiplicities(digits).tolist()
+
+
 def basis_polynomials(G: PermGroup, k: int,
                       partition: OrbitPartition | None = None) -> list[BasisPolynomial]:
     """One basis element per polynomial class of [n]^k, in class order."""
     if partition is None:
         partition = poly_classes(G, k)
-    n = G.n
-    out = []
-    for c in range(partition.num_classes):
-        codes = partition.members(c)
-        terms: dict[Monomial, float] = {}
-        for code in codes:
-            digits = decode(int(code), n, k)
-            exps = [0] * n
-            for d in digits:
-                exps[d] += 1
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0.0) + 1.0
-        out.append(BasisPolynomial(
-            degree=k, class_index=c, representative=partition.representatives[c],
-            size=len(codes), polynomial=Polynomial(n, terms)))
-    return out
+    terms: list[dict[Monomial, float]] = [{} for _ in range(partition.num_classes)]
+    for c, exps, mult in zip(*_multiset_table(partition)):
+        terms[c][exps] = float(mult)
+    return [BasisPolynomial(degree=k, class_index=c, representative=partition.representatives[c],
+                            size=int(sum(t.values())), polynomial=Polynomial(G.n, t))
+            for c, t in enumerate(terms)]
 
 
 def indicator_tensor(partition: OrbitPartition, class_index: int) -> CoeffTensor:
@@ -312,36 +316,29 @@ def expand_in_basis(p: Polynomial, G: PermGroup,
     Returns {(degree, class_index): alpha} with
     p = sum alpha * basis_polynomial.  The coefficient for a class is the
     coefficient in p of the class's representative monomial divided by
-    the number of tuples in the class producing that monomial.  A
-    degree's polynomial partition is taken from partitions when given
+    its multinomial multiplicity, and the span check asks every monomial
+    for alpha * multiplicity within 1e-12 * max(1, max |coefficient|).
+    A degree's polynomial partition is taken from partitions when given
     there, and computed otherwise.
     """
     if p.n != G.n:
         raise ValueError("polynomial and group disagree on n")
     if not is_invariant(p, G, tol=tol):
         raise NotInvariantError("polynomial is not invariant under the group")
+    scale = max([abs(c) for c in p.terms.values()], default=1.0)
     coeffs: dict[tuple[int, int], float] = {}
-    reconstruction = Polynomial.zero(p.n)
     for k, p_k in homogeneous_decompose(p).items():
         partition = (partitions or {}).get(k) or poly_classes(G, k)
-        basis = basis_polynomials(G, k, partition=partition)
-        for b in basis:
-            rep_exps = [0] * p.n
-            for d in b.representative:
-                rep_exps[d] += 1
-            rep_exps = tuple(rep_exps)
-            c = p_k.coefficient(rep_exps)
-            if c == 0.0:
-                continue
-            multiplicity = b.polynomial.coefficient(rep_exps)
-            assert multiplicity >= 1.0
-            alpha = c / multiplicity
-            coeffs[(k, b.class_index)] = alpha
-            reconstruction = reconstruction + b.polynomial.scale(alpha)
-    scale = max([abs(c) for c in p.terms.values()], default=1.0)
-    if not reconstruction.allclose(p, tol=1e-12 * max(1.0, scale)):
-        raise NotInvariantError(
-            "polynomial is not in the span of the invariant basis")
+        classes, exps, mult = _multiset_table(partition)
+        coeff = [p_k.coefficient(e) for e in exps]
+        alpha = np.zeros(partition.num_classes)
+        # class ids ascend with their first rows, the representatives
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(classes), prepend=-1))
+        for c, row in enumerate(first.tolist()):
+            if coeff[row] != 0.0:
+                alpha[c] = coeffs[(k, c)] = coeff[row] / mult[row]
+        if np.any(np.abs(alpha[classes] * mult - coeff) > 1e-12 * max(1.0, scale)):
+            raise NotInvariantError("polynomial is not in the span of the invariant basis")
     return coeffs
 
 

@@ -168,6 +168,14 @@ def test_multisets_one_sorted_row_per_multiset_with_its_orderings(G, k):
                                       minlength=P.num_classes), P.sizes())
 
 
+@pytest.mark.parametrize("G", [trivial(1), cyclic(4), symmetric(5), alternating(5)], ids=repr)
+def test_multisets_at_k0_one_empty_row(G):
+    digits, classes = multisets(poly_classes(G, 0))
+    assert digits.shape == (1, 0)
+    assert classes.tolist() == [0]
+    assert multiplicities(digits).tolist() == [1]
+
+
 # ---------------------------------------------------------------- encoding
 
 def test_encode_decode_roundtrip():

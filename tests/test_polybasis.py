@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ginet.orbits import poly_classes
-from ginet.permgroup import alternating, cyclic, dihedral, grid, symmetric, trivial
+from ginet.orbits import OrbitPartition, decode, poly_classes
+from ginet.permgroup import (PermGroup, Permutation, alternating, cyclic, dihedral, grid,
+                             symmetric, trivial)
 from ginet.polybasis import (
     INVARIANCE_TOL,
+    BasisPolynomial,
     NotInvariantError,
     Polynomial,
     basis_polynomials,
@@ -371,6 +374,164 @@ def test_is_invariant_large_group_exact():
     key = (1, 1, 0, 0, 0, 0, 0, 0)
     bumped = Polynomial(8, {**p.terms, key: p.terms[key] + 1e-6})
     assert not is_invariant(bumped, G)
+
+
+# ------------------------------------------------------------ tuple oracle
+# The tuple-by-tuple basis and expansion that the multiset table replaced:
+# every code of [n]^k is decoded, and p is rebuilt from the basis
+# polynomials and compared whole.  bases, when given, maps a degree to
+# its tuple_basis_polynomials, so a large case builds them once.
+
+def tuple_basis_polynomials(G, k, partition=None):
+    if partition is None:
+        partition = poly_classes(G, k)
+    n = G.n
+    out = []
+    for c in range(partition.num_classes):
+        codes = partition.members(c)
+        terms = {}
+        for code in codes:
+            digits = decode(int(code), n, k)
+            exps = [0] * n
+            for d in digits:
+                exps[d] += 1
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0.0) + 1.0
+        out.append(BasisPolynomial(
+            degree=k, class_index=c, representative=partition.representatives[c],
+            size=len(codes), polynomial=Polynomial(n, terms)))
+    return out
+
+
+def tuple_expand_in_basis(p, G, tol=INVARIANCE_TOL, bases=None):
+    if not is_invariant(p, G, tol=tol):
+        raise NotInvariantError("polynomial is not invariant under the group")
+    coeffs = {}
+    reconstruction = Polynomial.zero(p.n)
+    for k, p_k in homogeneous_decompose(p).items():
+        basis = (bases or {}).get(k) or tuple_basis_polynomials(G, k)
+        for b in basis:
+            rep_exps = [0] * p.n
+            for d in b.representative:
+                rep_exps[d] += 1
+            rep_exps = tuple(rep_exps)
+            c = p_k.coefficient(rep_exps)
+            if c == 0.0:
+                continue
+            multiplicity = b.polynomial.coefficient(rep_exps)
+            assert multiplicity >= 1.0
+            alpha = c / multiplicity
+            coeffs[(k, b.class_index)] = alpha
+            reconstruction = reconstruction + b.polynomial.scale(alpha)
+    scale = max([abs(c) for c in p.terms.values()], default=1.0)
+    if not reconstruction.allclose(p, tol=1e-12 * max(1.0, scale)):
+        raise NotInvariantError(
+            "polynomial is not in the span of the invariant basis")
+    return coeffs
+
+
+def bits(mapping):
+    """Items in insertion order, floats as their exact hex form."""
+    return [(key, float(value).hex()) for key, value in mapping.items()]
+
+
+def assert_same_basis(basis, oracle):
+    assert len(basis) == len(oracle)
+    for b, o in zip(basis, oracle):
+        assert (b.degree, b.class_index, b.representative, b.size) == \
+            (o.degree, o.class_index, o.representative, o.size)
+        assert type(b.size) is int
+        assert bits(b.polynomial.terms) == bits(o.polynomial.terms)
+
+
+def random_invariant(G, k, rng, bases):
+    """A constant plus random mixes of the degree k and k // 2 bases,
+    every third class left out, with each coefficient then moved by up
+    to 1e-14 of itself: within both tolerances, but alpha now depends on
+    which monomial of a class is read."""
+    p = Polynomial.constant(G.n, rng.uniform(-2, 2))
+    for d in sorted({k // 2, k} - {0}):
+        for b in bases[d]:
+            if b.class_index % 3 != 2:
+                p = p + b.polynomial.scale(rng.uniform(-2, 2))
+    return Polynomial(G.n, {e: c * (1.0 + 1e-14 * rng.uniform(-1, 1))
+                            for e, c in p.terms.items()})
+
+
+def assert_matches_tuple_oracle(G, k, seed):
+    bases = {d: tuple_basis_polynomials(G, d) for d in sorted({0, k // 2, k})}
+    for d, oracle in bases.items():
+        assert_same_basis(basis_polynomials(G, d), oracle)
+        assert_same_basis(basis_polynomials(G, d, partition=poly_classes(G, d)), oracle)
+    p = random_invariant(G, k, SplitMix64(seed), bases)
+    coeffs = expand_in_basis(p, G)
+    assert bits(coeffs) == bits(tuple_expand_in_basis(p, G, bases=bases))
+    assert all(type(a) is float for a in coeffs.values())
+
+
+@pytest.mark.parametrize("G, k", [(G, k) for G in (cyclic(4), dihedral(6), symmetric(4),
+                                                    alternating(5)) for k in range(7)]
+                         + [(dihedral(7), k) for k in (1, 2, 3)], ids=repr)
+def test_multiset_basis_and_expansion_match_tuple_oracle(G, k):
+    assert_matches_tuple_oracle(G, k, seed=100 + k)
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return PermGroup.generate(n, [Permutation(g) for g in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.integers(0, 4), st.integers(0, 2**32))
+def test_multiset_basis_and_expansion_match_tuple_oracle_random_groups(G, k, seed):
+    assert_matches_tuple_oracle(G, k, seed)
+
+
+def test_multiset_expansion_matches_tuple_oracle_s12_e6():
+    G = symmetric(12)
+    e6 = Polynomial(12, {tuple(int(i in t) for i in range(12)): 1.0
+                         for t in itertools.combinations(range(12), 6)})
+    p = e6 + Polynomial.constant(12, 0.5)
+    bases = {0: tuple_basis_polynomials(G, 0), 6: tuple_basis_polynomials(G, 6)}
+    assert_same_basis(basis_polynomials(G, 6), bases[6])
+    coeffs = expand_in_basis(p, G)
+    assert bits(coeffs) == bits(tuple_expand_in_basis(p, G, bases=bases))
+    assert coeffs == {(0, 0): 0.5, (6, 10): 1.0 / 720}
+
+
+def test_expand_rejects_invariant_within_tol_outside_span():
+    # e2 on C5 plus 1e-10 on x_1 x_2 passes the 1e-9 invariance check, but
+    # the other monomials of x_1 x_2's class keep coefficient 1
+    G = cyclic(5)
+    terms = {tuple(int(i in t) for i in range(5)): 1.0
+             for t in itertools.combinations(range(5), 2)}
+    terms[(1, 1, 0, 0, 0)] += 1e-10
+    p = Polynomial(5, terms)
+    assert is_invariant(p, G)
+    for expand in (expand_in_basis, tuple_expand_in_basis):
+        with pytest.raises(NotInvariantError, match="not in the span"):
+            expand(p, G)
+
+
+@pytest.mark.parametrize("G, degrees", [(symmetric(4), range(5)), (dihedral(7), (1, 2, 3))],
+                         ids=repr)
+def test_basis_and_expansion_walk_no_tuples(G, degrees, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("walked the tuples of a class")
+
+    expected = {k: tuple_basis_polynomials(G, k) for k in degrees}
+    p = Polynomial.constant(G.n, 1.5)
+    for k in degrees:
+        for b in expected[k]:
+            p = p + b.polynomial.scale(1.0 + b.class_index)
+    oracle = tuple_expand_in_basis(p, G, bases=expected)
+    monkeypatch.setattr("ginet.polybasis.decode", walk)
+    monkeypatch.setattr(OrbitPartition, "members", walk)
+    for k in degrees:
+        assert_same_basis(basis_polynomials(G, k), expected[k])
+    assert bits(expand_in_basis(p, G)) == bits(oracle)
 
 
 # ------------------------------------------------------------ vandermonde
