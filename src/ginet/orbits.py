@@ -9,14 +9,14 @@ reordered factors identical; its classes index the invariant-polynomial
 basis.
 
 Tuples are encoded as base-n integers, first digit most significant, so
-code order equals lexicographic order on digits.  Each generator (and,
-for the polynomial relation, each adjacent swap of positions) acts on
-the codes as one permutation array, its code map.  Classes are found by
-min-label propagation over the code maps (min_labels, which works on
-any point set): every code's label falls to the least label among its
+code order equals lexicographic order on digits.  Classes are found by
+min-label propagation over one permutation array per generator
+(min_labels): every point's label falls to the least label among its
 images, then jumps to its label's label, until nothing changes.  The
-labels are then the least codes of their classes, which serve as
-representatives, and class ids ascend with them; the result is
+layer relation's points are the n^k codes; the polynomial relation's
+are the multisets, held as nondecreasing rows in code order, and a tuple
+takes the class of its sorted digits.  The least points of the classes
+serve as representatives, and class ids ascend with them; the result is
 deterministic and independent of generator order.
 
 Before it builds a partition of [n]^k, each function here estimates its
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +79,7 @@ class OrbitPartition:
     class_id: np.ndarray
     num_classes: int
     representatives: tuple[tuple[int, ...], ...]
+    _multisets: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def class_of(self, t) -> int:
         """Class id of a tuple given as a digit sequence or a code."""
@@ -120,17 +121,15 @@ def _class_bound(n: int, k: int, order: int, kind: str) -> int:
     """A bound on Burnside's class count (1/|G|) sum_g fix(g) for a group
     of the given order on [n]^k.
 
+    POLYNOMIAL: the multiset count C(n+k-1, k).
     LAYER: a k-tuple is fixed by g when all its entries are, so fix(g) =
     f^k for g with f fixed points.  At most C(n, f) * D(n - f) elements of
     S_n fix exactly f points (D the derangement numbers), and the bound
     gives the order's elements the most fixed points those counts allow,
     largest f first; for S_n it is the exact count.
-    POLYNOMIAL: every non-identity element fixes at most what a
-    transposition does, the multisets of size k over n - 1 cycles.
     """
     if kind == POLYNOMIAL:
-        total = math.comb(n + k - 1, k) + (order - 1) * math.comb(max(n + k - 2, 0), k)
-        return -(-total // order)
+        return math.comb(n + k - 1, k)
     derangements = [1, 0]
     for m in range(2, n + 1):
         derangements.append((m - 1) * (derangements[-1] + derangements[-2]))
@@ -143,14 +142,19 @@ def _class_bound(n: int, k: int, order: int, kind: str) -> int:
 
 
 def _check_orbits(G: PermGroup, k: int, kind: str) -> None:
-    """k >= 0, and the orbit kernel's estimated peak fits in memory: 8
-    bytes per code for each code map (a generator, or for POLYNOMIAL a
-    position swap) and six working arrays, plus the representatives."""
+    """k >= 0, and the orbit kernel's estimated peak fits in memory: the
+    representatives plus, at 8 bytes each, for LAYER a code map per
+    generator and six working arrays per code; for POLYNOMIAL the tuple
+    view's last step (n^k + n^(k-1) codes), three copies of its step table
+    (at most min(n^k, n m) entries) and maps + 2k + 8 arrays per multiset
+    (m of them)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    maps = len(G.generators) + (max(k - 1, 0) if kind == POLYNOMIAL else 0)
-    _check_memory(G.n**k * 8 * (maps + 6) + _representative_bytes(G.n, k, G.order, kind),
-                  f"the {kind} classes of [{G.n}]^{k}")
+    n, maps, m = G.n, len(G.generators), math.comb(G.n + k - 1, k)
+    nbytes = 8 * (n**k + n**k // n + 3 * min(n**k, n * m) + m * (maps + 2 * k + 8)) \
+        if kind == POLYNOMIAL else 8 * n**k * (maps + 6)
+    _check_memory(nbytes + _representative_bytes(n, k, G.order, kind),
+                  f"the {kind} classes of [{n}]^{k}")
 
 
 def min_labels(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -167,14 +171,16 @@ def min_labels(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
             return label
 
 
-def _orbit_partition(n: int, k: int, kind: str, maps: list[np.ndarray]) -> OrbitPartition:
-    """Classes of the codes 0..n^k-1 under the code permutations in maps."""
-    codes = np.arange(n**k, dtype=np.int64)
-    label = min_labels(n**k, maps)
-    is_least = label == codes
-    class_id = (np.cumsum(is_least, dtype=np.int64) - 1)[label]
+def _classes(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class ids ascending with the least points, and those points."""
+    is_least = label == np.arange(label.shape[0])
+    return (np.cumsum(is_least, dtype=np.int64) - 1)[label], np.flatnonzero(is_least)
+
+
+def _orbit_partition(n: int, k: int, kind: str, class_id: np.ndarray,
+                     least: np.ndarray) -> OrbitPartition:
+    """The partition with each code's class id and each class's least code."""
     class_id.flags.writeable = False
-    least = np.flatnonzero(is_least)
     # the digit columns of the least codes, most significant first; with
     # k = 0 the one class is the empty tuple's, and zip would yield nothing
     columns = (least // n ** np.arange(k - 1, -1, -1, dtype=np.int64)[:, None] % n).tolist()
@@ -187,32 +193,58 @@ def layer_classes(G: PermGroup, k: int) -> OrbitPartition:
     """Orbits of [n]^k under the diagonal action of G's generators."""
     _check_orbits(G, k, LAYER)
     maps = [tuple_action_codes(g, G.n, k) for g in G.generators]
-    return _orbit_partition(G.n, k, LAYER, maps)
+    return _orbit_partition(G.n, k, LAYER, *_classes(min_labels(G.n**k, maps)))
+
+
+def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
+    """The nondecreasing rows of [n]^k, one per multiset, in code order."""
+    rows = list(itertools.combinations_with_replacement(range(n), k))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
 
 
 def poly_classes(G: PermGroup, k: int) -> OrbitPartition:
     """Orbits of [n]^k under G jointly with permutations of tuple positions.
 
-    Position permutations are generated by the k-1 adjacent
-    transpositions, added as extra code maps.
+    These are G's orbits on the multisets, each a nondecreasing row; a
+    generator maps a row to its sorted images, ranked among the row codes.
+    Each tuple takes the class of its sorted digits, and multisets reads
+    the rows and their classes kept in the partition.
     """
     _check_orbits(G, k, POLYNOMIAL)
     n = G.n
-    maps = [tuple_action_codes(g, n, k) for g in G.generators]
-    maps += [np.arange(n**k).reshape(n**j, n, n, -1).swapaxes(1, 2).reshape(-1)
-             for j in range(k - 1)]
-    return _orbit_partition(n, k, POLYNOMIAL, maps)
+    rows = _nondecreasing_rows(n, k)
+    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    codes = rows @ weights
+
+    def rank(digits):
+        return np.searchsorted(codes, np.sort(digits, axis=1) @ weights)
+
+    maps = [rank(np.asarray(g.images)[rows]) for g in G.generators]
+    row_class, least = _classes(min_labels(rows.shape[0], maps))
+    # the tuple view: after j < k digits a tuple stands at the rank of its
+    # multiset's row padded with k - j zeros; rows led by 0 come first, so
+    # their ranks index tails, and a step replaces that 0 by the next digit
+    class_id = np.zeros(1, dtype=np.int64)
+    if k:
+        tails = rows[rows[:, 0] == 0, 1:]
+        step = np.column_stack([rank(np.column_stack([tails, np.full(tails.shape[0], d)]))
+                                for d in range(n)])
+        for table in [step] * (k - 1) + [row_class[step]]:
+            class_id = table[class_id].reshape(-1)
+    partition = _orbit_partition(n, k, POLYNOMIAL, class_id, codes[least])
+    rows.flags.writeable = row_class.flags.writeable = False
+    object.__setattr__(partition, "_multisets", (rows, row_class))
+    return partition
 
 
 def multisets(partition: OrbitPartition) -> tuple[np.ndarray, np.ndarray]:
     """The nondecreasing digit rows of [n]^k, one per multiset, in code
-    order, and the class of each.  A polynomial class holds every
-    ordering of each of its multisets, so its rows here list it whole.
-    At k = 0 the one row is the empty one, in class 0."""
-    n, k = partition.n, partition.k
-    rows = list(itertools.combinations_with_replacement(range(n), k))
-    digits = np.array(rows, dtype=np.int64).reshape(len(rows), k)
-    return digits, partition.class_id[digits @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)]
+    order, and the class of each, as poly_classes kept them.  A class
+    holds every ordering of each of its multisets, so its rows here list
+    it whole.  At k = 0 the one row is the empty one, in class 0."""
+    if partition._multisets is None:
+        raise ValueError(f"{partition.kind} partitions keep no multisets")
+    return partition._multisets
 
 
 def multiplicities(digits: np.ndarray) -> np.ndarray:

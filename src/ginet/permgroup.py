@@ -118,9 +118,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._trusted(_invert(self.images))
 
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its smallest point."""
         seen = [False] * self.n

@@ -88,9 +88,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, exponents: Sequence[int]) -> float:
         return self.terms.get(tuple(exponents), 0.0)
 

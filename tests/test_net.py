@@ -797,6 +797,29 @@ def test_approximate_computes_each_partition_once_per_degree(monkeypatch):
     assert report.achieved_max_error <= 1e-10
 
 
+def test_approximate_builds_multisets_once_per_degree(monkeypatch):
+    # the expansion, the memory check and every class-sum term read the
+    # rows that poly_classes built, so each degree builds them once
+    import ginet.orbits
+    from ginet.permgroup import dihedral
+    G = dihedral(7)
+    p = Polynomial.zero(7)
+    for k in (1, 2, 3):
+        for b in basis_polynomials(G, k):
+            p = p + b.polynomial
+    rows = ginet.orbits._nondecreasing_rows
+    calls = []
+
+    def counted(n, k):
+        calls.append(k)
+        return rows(n, k)
+
+    monkeypatch.setattr(ginet.orbits, "_nondecreasing_rows", counted)
+    _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    assert len(report.terms) == 13
+    assert sorted(calls) == [1, 2, 3]
+
+
 def test_approximate_builds_no_layer_partition(monkeypatch):
     # the class-sum network needs no order-1 -> order-k layer, so no
     # layer_classes call for any term, nor for a constant-only target

@@ -13,6 +13,7 @@ from ginet.orbits import (
     encode,
     equality_pattern_partition,
     layer_classes,
+    min_labels,
     multiplicities,
     multisets,
     orbit_count_squared,
@@ -174,6 +175,68 @@ def test_multisets_at_k0_one_empty_row(G):
     assert digits.shape == (1, 0)
     assert classes.tolist() == [0]
     assert multiplicities(digits).tolist() == [1]
+
+
+def test_multisets_only_for_polynomial_partitions():
+    with pytest.raises(ValueError, match="layer partitions keep no multisets"):
+        multisets(layer_classes(cyclic(4), 2))
+    digits, classes = multisets(poly_classes(cyclic(4), 2))
+    assert not digits.flags.writeable and not classes.flags.writeable
+
+
+# ---------------------------------------------------------------- tuple kernel oracle
+
+def tuple_poly_classes(G, k):
+    """(class_id, representatives, num_classes) by min-label propagation
+    over all n^k tuple codes: one code map per generator and one per
+    adjacent swap of tuple positions: the reference that poly_classes'
+    multiset kernel must match bit for bit."""
+    n = G.n
+    maps = [tuple_action_codes(g, n, k) for g in G.generators]
+    maps += [np.arange(n**k).reshape(n**j, n, n, -1).swapaxes(1, 2).reshape(-1)
+             for j in range(k - 1)]
+    label = min_labels(n**k, maps)
+    is_least = label == np.arange(n**k)
+    class_id = (np.cumsum(is_least, dtype=np.int64) - 1)[label]
+    reps = tuple(decode(int(code), n, k) for code in np.flatnonzero(is_least))
+    return class_id, reps, len(reps)
+
+
+def tuple_multisets(class_id, n, k):
+    """The nondecreasing rows in code order, each looked up in class_id."""
+    rows = list(itertools.combinations_with_replacement(range(n), k))
+    digits = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    return digits, class_id[digits @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)]
+
+
+def assert_matches_tuple_kernel(G, k):
+    P = poly_classes(G, k)
+    class_id, reps, count = tuple_poly_classes(G, k)
+    assert P.class_id.dtype == class_id.dtype
+    assert np.array_equal(P.class_id, class_id)
+    assert P.representatives == reps
+    assert P.num_classes == count
+    for got, want in zip(multisets(P), tuple_multisets(class_id, G.n, k)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("G", [cyclic(4), dihedral(6), dihedral(8), symmetric(4), alternating(5)],
+                         ids=["C4", "D6", "D8", "S4", "A5"])
+@pytest.mark.parametrize("k", range(7))
+def test_poly_classes_match_tuple_kernel(G, k):
+    assert_matches_tuple_kernel(G, k)
+
+
+@pytest.mark.parametrize("G, k", [(alternating(5), 9), (symmetric(12), 3)], ids=["A5-9", "S12-3"])
+def test_poly_classes_match_tuple_kernel_large(G, k):
+    assert_matches_tuple_kernel(G, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.integers(0, 4))
+def test_poly_classes_match_tuple_kernel_on_random_groups(G, k):
+    assert_matches_tuple_kernel(G, k)
 
 
 # ---------------------------------------------------------------- encoding
@@ -397,11 +460,12 @@ def _dense(G, k, l, a, b):
     (orbits, lambda: partial(layer_classes, dihedral(8), 7)),
     (orbits, lambda: partial(poly_classes, dihedral(8), 6)),
     (orbits, lambda: partial(poly_classes, alternating(5), 9)),
+    (orbits, lambda: partial(poly_classes, symmetric(12), 6)),
     (orbits, lambda: partial(layer_classes, cyclic(4), 10)),
     (orbits, lambda: partial(layer_classes, trivial(5), 8)),
     (equivlayers, lambda: _dense(cyclic(4), 5, 5, 1, 1)),
     (equivlayers, lambda: _dense(dihedral(8), 3, 3, 2, 3)),
-], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "C4-layer-10", "trivial5-layer-8",
+], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "S12-poly-6", "C4-layer-10", "trivial5-layer-8",
         "dense-C4-5-5", "dense-D8-3-3-features-2-3"])
 def test_memory_estimate_bounds_the_traced_peak(module, prepare, monkeypatch):
     """Each case has at least 100k codes or dense entries.  The estimate is
