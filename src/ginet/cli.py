@@ -20,11 +20,14 @@ import time
 from dataclasses import asdict
 from typing import Sequence
 
+import numpy as np
+
 from . import analysis, net, orbits, polybasis
 from .equivlayers import layer_space
 from .permgroup import GroupTooLargeError, PermGroup, Permutation, named_group
 
 VERSION = "0.1.0"
+_CSV_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 
 
 class ParseError(ValueError):
@@ -201,22 +204,30 @@ def _config_dict(args, keys: Sequence[str]) -> dict:
     return out
 
 
+def _write_csv(fh, header: str, class_id: np.ndarray, shape: tuple[int, ...]) -> None:
+    """The header, then a row per class_id entry: its index into shape, its class."""
+    fh.write(header + "\n")
+    for start in range(0, class_id.size, _CSV_CHUNK):
+        at = np.arange(start, min(start + _CSV_CHUNK, class_id.size))
+        table = np.column_stack(np.unravel_index(at, shape) + (class_id[at],))
+        fh.write(("%d," * len(shape) + "%d\n") * len(at) % tuple(table.ravel().tolist()))
+
+
 # ----------------------------------------------------------------- commands
 
 def _cmd_orbits(args) -> int:
     G = parse_group_file(args.group)
     kind = args.kind
+    if kind == "poly" and args.k >= 0:  # class_sizes reads the tuple view
+        orbits._check_view(G.n, args.k)
     P = (orbits.poly_classes if kind == "poly" else orbits.layer_classes)(G, args.k)
     lines = [f"group order: {G.order}", f"num_classes: {P.num_classes}"]
-    if args.dump or args.format == "csv":
-        csv_lines = ["code,class_id"] + [f"{c},{int(P.class_id[c])}"
-                                         for c in range(G.n**args.k)]
-        if args.dump:
-            with open(args.dump, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(csv_lines) + "\n")
-        if args.format == "csv":
-            print("\n".join(csv_lines))
-            lines = []
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            _write_csv(fh, "code,class_id", P.class_id, (G.n**args.k,))
+    if args.format == "csv":
+        _write_csv(sys.stdout, "code,class_id", P.class_id, (G.n**args.k,))
+        lines = []
     results = {"n": G.n, "k": args.k, "kind": kind,
                "group_order": G.order, "num_classes": P.num_classes,
                "class_sizes": P.sizes().tolist()}
@@ -234,14 +245,9 @@ def _cmd_basis(args) -> int:
              f"linear_dim: {sp.linear_dim}",
              f"bias_dim: {sp.bias_dim}"]
     if args.dump_dense:
-        n = G.n
-        cid = sp.linear_partition.class_id.reshape(n**l, n**k)
-        rows = ["out_code,in_code,class_id"]
-        for o in range(n**l):
-            for i in range(n**k):
-                rows.append(f"{o},{i},{int(cid[o, i])}")
         with open(args.dump_dense, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+            _write_csv(fh, "out_code,in_code,class_id", sp.linear_partition.class_id,
+                       (G.n**l, G.n**k))
     results = {"n": G.n, "k": k, "l": l, "a": a, "b": b,
                "group_order": G.order,
                "linear_classes": sp.linear_partition.num_classes,

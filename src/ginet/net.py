@@ -84,8 +84,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .equivlayers import EquivariantLayer, layer_space, monomial_factors_layer, zero_layer
-from .orbits import (POLYNOMIAL, OrbitPartition, _check_memory, multiplicities, multisets,
-                     poly_classes)
+from .orbits import POLYNOMIAL, OrbitPartition, _check_memory, multiplicities, poly_classes
 from .permgroup import PermGroup
 from .polybasis import Polynomial, expand_in_basis, homogeneous_decompose
 from .rng import SplitMix64
@@ -948,7 +947,8 @@ class ClassSumStage:
     A polynomial class holds every ordering of each of its multisets, and
     every gadget is a function of the multiset of its inputs (it sorts
     each row by value), so the stage keeps one digit row per multiset,
-    the nondecreasing one, with its multinomial multiplicity, and each
+    the nondecreasing one from the partition's rows (it never reads the
+    n^k tuple view), with its multinomial multiplicity, and each
     point reduces to sum(mult * value) + (n^k - |class|) * gadget(0).  A
     layer partition is not closed under reordering and is rejected.
 
@@ -973,8 +973,7 @@ class ClassSumStage:
                 raise ValueError(f"class sums need polynomial classes, not {partition.kind} ones")
             if getattr(gadget, "k", None) != k:
                 raise ValueError(f"product gadget arity {getattr(gadget, 'k', None)} != {k}")
-            digits, classes = multisets(partition)
-            digits = digits[classes == class_index]
+            digits = partition.rows[partition.labels == class_index]
             mult = multiplicities(digits)
             # the last row is the zero tuple, read from the zero column n
             # that forward appends, so gadget(0) comes from the same batched
@@ -1213,7 +1212,7 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     # fail fast, before any gadget trains: the class sums of one
     # forward_many chunk must fit in memory
     chunk = min(eval_points, 2048)
-    counts = {k: np.bincount(multisets(partitions[k])[1]).tolist() for k in degrees}
+    counts = {k: np.bincount(partitions[k].labels).tolist() for k in degrees}
     sizes = [(k, counts[k][ci]) for k, ci in coeffs if k]
     _check_memory(_class_sum_bytes(sizes, chunk, exact_mul),
                   f"the class sums of {len(sizes)} terms on {chunk} points")

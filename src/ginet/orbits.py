@@ -15,21 +15,23 @@ min-label propagation over one permutation array per generator
 images, then jumps to its label's label, until nothing changes.  The
 layer relation's points are the n^k codes; the polynomial relation's
 are the multisets, held as nondecreasing rows in code order, and a tuple
-takes the class of its sorted digits.  The least points of the classes
-serve as representatives, and class ids ascend with them; the result is
-deterministic and independent of generator order.
+takes the class of its sorted digits in a view built when first read.
+The least points of the classes serve as representatives, and class ids
+ascend with them; the result is deterministic and independent of
+generator order.
 
-Before it builds a partition of [n]^k, each function here estimates its
-peak bytes and raises CapExceededError when the estimate is over the
-physical memory.  Nothing sets this limit.
+Before it builds a partition of [n]^k or a tuple view, each function here
+estimates its peak bytes and raises CapExceededError when the estimate is
+over the physical memory.  Nothing sets this limit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -71,15 +73,38 @@ def decode(code: int, n: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """A partition of [n]^k; class ids ascend with representative codes."""
+    """A partition of [n]^k; class ids ascend with representative codes.
+    labels holds the class of each kernel point: each n^k tuple code, or,
+    for a polynomial partition, each multiset, kept as its nondecreasing
+    digit row in rows (code order; at k = 0 the one empty row)."""
 
     n: int
     k: int
     kind: str
-    class_id: np.ndarray
+    labels: np.ndarray
     num_classes: int
     representatives: tuple[tuple[int, ...], ...]
-    _multisets: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    rows: np.ndarray | None = None
+
+    @functools.cached_property
+    def class_id(self) -> np.ndarray:
+        """The class of each n^k tuple code; a polynomial partition builds
+        this view on first read, each tuple in the class of its sorted digits."""
+        if self.rows is None:
+            return self.labels
+        n, k, rows = self.n, self.k, self.rows
+        _check_view(n, k)
+        # after j < k digits a tuple stands at the rank of its multiset's
+        # row padded with k - j zeros; rows led by 0 come first, so their
+        # ranks index tails, and a step replaces that 0 by the next digit
+        class_id = np.zeros(1, dtype=np.int64)
+        if k:
+            tails = rows[rows[:, 0] == 0, 1:]
+            step = np.column_stack([_rank(rows, n, np.insert(tails, 0, d, 1)) for d in range(n)])
+            for table in [step] * (k - 1) + [self.labels[step]]:
+                class_id = table[class_id].reshape(-1)
+        class_id.flags.writeable = False
+        return class_id
 
     def class_of(self, t) -> int:
         """Class id of a tuple given as a digit sequence or a code."""
@@ -144,17 +169,27 @@ def _class_bound(n: int, k: int, order: int, kind: str) -> int:
 def _check_orbits(G: PermGroup, k: int, kind: str) -> None:
     """k >= 0, and the orbit kernel's estimated peak fits in memory: the
     representatives plus, at 8 bytes each, for LAYER a code map per
-    generator and six working arrays per code; for POLYNOMIAL the tuple
-    view's last step (n^k + n^(k-1) codes), three copies of its step table
-    (at most min(n^k, n m) entries) and maps + 2k + 8 arrays per multiset
-    (m of them)."""
+    generator and six working arrays per code; for POLYNOMIAL maps + 2k + 8
+    arrays per multiset, whose codes and multiplicities stay exact in int64
+    while k n^k < 2^63."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    n, maps, m = G.n, len(G.generators), math.comb(G.n + k - 1, k)
-    nbytes = 8 * (n**k + n**k // n + 3 * min(n**k, n * m) + m * (maps + 2 * k + 8)) \
+    n, maps = G.n, len(G.generators)
+    if kind == POLYNOMIAL and k * n**k >= 2**63:
+        raise CapExceededError(f"the polynomial classes of [{n}]^{k} need k * n^k < 2^63 "
+                               f"for exact int64 codes")
+    nbytes = 8 * math.comb(n + k - 1, k) * (maps + 2 * k + 8) \
         if kind == POLYNOMIAL else 8 * n**k * (maps + 6)
     _check_memory(nbytes + _representative_bytes(n, k, G.order, kind),
                   f"the {kind} classes of [{n}]^{k}")
+
+
+def _check_view(n: int, k: int) -> None:
+    """The polynomial tuple view's estimated peak fits in memory: at 8
+    bytes each, its last step (n^k + n^(k-1) codes) and three copies of its
+    step table (at most min(n^k, n m) entries, m the multisets)."""
+    nbytes = 8 * (n**k + n**k // n + 3 * min(n**k, n * math.comb(n + k - 1, k)))
+    _check_memory(nbytes, f"the tuple view of the polynomial classes of [{n}]^{k}")
 
 
 def min_labels(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -177,23 +212,15 @@ def _classes(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(is_least, dtype=np.int64) - 1)[label], np.flatnonzero(is_least)
 
 
-def _orbit_partition(n: int, k: int, kind: str, class_id: np.ndarray,
-                     least: np.ndarray) -> OrbitPartition:
-    """The partition with each code's class id and each class's least code."""
-    class_id.flags.writeable = False
-    # the digit columns of the least codes, most significant first; with
-    # k = 0 the one class is the empty tuple's, and zip would yield nothing
-    columns = (least // n ** np.arange(k - 1, -1, -1, dtype=np.int64)[:, None] % n).tolist()
-    reps = tuple(zip(*columns)) if k else ((),)
-    return OrbitPartition(n=n, k=k, kind=kind, class_id=class_id,
-                          num_classes=len(reps), representatives=reps)
-
-
 def layer_classes(G: PermGroup, k: int) -> OrbitPartition:
     """Orbits of [n]^k under the diagonal action of G's generators."""
     _check_orbits(G, k, LAYER)
     maps = [tuple_action_codes(g, G.n, k) for g in G.generators]
-    return _orbit_partition(G.n, k, LAYER, *_classes(min_labels(G.n**k, maps)))
+    labels, least = _classes(min_labels(G.n**k, maps))
+    labels.flags.writeable = False
+    # the digits of the least codes, most significant first
+    least = least[:, None] // G.n ** np.arange(k - 1, -1, -1, dtype=np.int64) % G.n
+    return OrbitPartition(G.n, k, LAYER, labels, len(least), tuple(map(tuple, least.tolist())))
 
 
 def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
@@ -202,49 +229,27 @@ def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), k)
 
 
+def _rank(rows: np.ndarray, n: int, digits: np.ndarray) -> np.ndarray:
+    """The index among the nondecreasing rows of each row of digits, sorted."""
+    weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(rows @ weights, np.sort(digits, axis=1) @ weights)
+
+
 def poly_classes(G: PermGroup, k: int) -> OrbitPartition:
     """Orbits of [n]^k under G jointly with permutations of tuple positions.
 
     These are G's orbits on the multisets, each a nondecreasing row; a
     generator maps a row to its sorted images, ranked among the row codes.
-    Each tuple takes the class of its sorted digits, and multisets reads
-    the rows and their classes kept in the partition.
+    The partition keeps the rows and their classes; its n^k tuple view,
+    class_id, is built only when read.
     """
     _check_orbits(G, k, POLYNOMIAL)
-    n = G.n
-    rows = _nondecreasing_rows(n, k)
-    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    codes = rows @ weights
-
-    def rank(digits):
-        return np.searchsorted(codes, np.sort(digits, axis=1) @ weights)
-
-    maps = [rank(np.asarray(g.images)[rows]) for g in G.generators]
-    row_class, least = _classes(min_labels(rows.shape[0], maps))
-    # the tuple view: after j < k digits a tuple stands at the rank of its
-    # multiset's row padded with k - j zeros; rows led by 0 come first, so
-    # their ranks index tails, and a step replaces that 0 by the next digit
-    class_id = np.zeros(1, dtype=np.int64)
-    if k:
-        tails = rows[rows[:, 0] == 0, 1:]
-        step = np.column_stack([rank(np.column_stack([tails, np.full(tails.shape[0], d)]))
-                                for d in range(n)])
-        for table in [step] * (k - 1) + [row_class[step]]:
-            class_id = table[class_id].reshape(-1)
-    partition = _orbit_partition(n, k, POLYNOMIAL, class_id, codes[least])
-    rows.flags.writeable = row_class.flags.writeable = False
-    object.__setattr__(partition, "_multisets", (rows, row_class))
-    return partition
-
-
-def multisets(partition: OrbitPartition) -> tuple[np.ndarray, np.ndarray]:
-    """The nondecreasing digit rows of [n]^k, one per multiset, in code
-    order, and the class of each, as poly_classes kept them.  A class
-    holds every ordering of each of its multisets, so its rows here list
-    it whole.  At k = 0 the one row is the empty one, in class 0."""
-    if partition._multisets is None:
-        raise ValueError(f"{partition.kind} partitions keep no multisets")
-    return partition._multisets
+    rows = _nondecreasing_rows(G.n, k)
+    maps = [_rank(rows, G.n, np.asarray(g.images)[rows]) for g in G.generators]
+    labels, least = _classes(min_labels(rows.shape[0], maps))
+    rows.flags.writeable = labels.flags.writeable = False
+    return OrbitPartition(G.n, k, POLYNOMIAL, labels, len(least),
+                          tuple(map(tuple, rows[least].tolist())), rows)
 
 
 def multiplicities(digits: np.ndarray) -> np.ndarray:
@@ -290,7 +295,7 @@ def equality_pattern_partition(n: int, k: int) -> OrbitPartition:
             reps.append(row)
         class_id[code] = label
     class_id.flags.writeable = False
-    return OrbitPartition(n=n, k=k, kind=EQUALITY, class_id=class_id,
+    return OrbitPartition(n=n, k=k, kind=EQUALITY, labels=class_id,
                           num_classes=len(reps), representatives=tuple(reps))
 
 

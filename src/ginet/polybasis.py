@@ -10,9 +10,9 @@ class therefore gives a basis element, and every invariant expands over
 these with coefficients read off its representative monomials.
 
 A class holds every ordering of each of its multisets, so
-basis_polynomials and expand_in_basis read it as its multisets
-(orbits.multisets), each monomial once with its multinomial
-multiplicity, and never walk the n^k tuples.
+basis_polynomials and expand_in_basis read it as its multisets (the
+partition's rows and their labels), each monomial once with its
+multinomial multiplicity, and never walk the n^k tuples.
 
 Invariance itself is decided exactly: p is G-invariant iff every
 generator of G fixes it, so the check compares p.permute(g) with p for
@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .orbits import OrbitPartition, decode, multiplicities, multisets, poly_classes
+from .orbits import OrbitPartition, decode, multiplicities, poly_classes
 from .permgroup import PermGroup, Permutation
 
 INVARIANCE_TOL = 1e-9
@@ -256,7 +256,7 @@ def _multiset_table(partition: OrbitPartition) -> tuple[list[int], list[Monomial
     """The degree-k monomials of a polynomial partition, one per multiset
     in code order: each one's class, exponent vector and multiplicity
     (the number of tuples that produce it)."""
-    digits, classes = multisets(partition)
+    digits, classes = partition.rows, partition.labels
     exps = (digits[:, :, None] == np.arange(partition.n)).sum(axis=1)
     return classes.tolist(), list(map(tuple, exps.tolist())), multiplicities(digits).tolist()
 

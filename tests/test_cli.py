@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -12,7 +14,9 @@ from ginet.cli import (
     write_poly_file,
     ParseError,
 )
-from ginet.permgroup import GroupTooLargeError, cyclic, dihedral
+from ginet.equivlayers import layer_space
+from ginet.orbits import poly_classes
+from ginet.permgroup import GroupTooLargeError, alternating, cyclic, dihedral
 from ginet.polybasis import Polynomial, vandermonde
 
 
@@ -205,6 +209,50 @@ def test_basis_dump_dense(c4_file, tmp_path):
     lines = dump.read_text().strip().splitlines()
     assert lines[0] == "out_code,in_code,class_id"
     assert len(lines) == 17
+
+
+def test_csv_tables_match_one_row_per_code(c4_file, tmp_path, monkeypatch, capsys):
+    # chunks of 5 rows split both tables, with a remainder, and the bytes
+    # are those of one line per code in code order
+    import ginet.cli
+    monkeypatch.setattr(ginet.cli, "_CSV_CHUNK", 5)
+    dump, dense = tmp_path / "orbits.csv", tmp_path / "dense.csv"
+    assert main(["orbits", "--group", c4_file, "--k", "3", "--kind", "poly",
+                 "--format", "csv", "--dump", str(dump)]) == 0
+    cid = poly_classes(cyclic(4), 3).class_id
+    want = "code,class_id\n" + "".join(f"{c},{cid[c]}\n" for c in range(64))
+    assert dump.read_text() == capsys.readouterr().out == want
+    assert main(["basis", "--group", c4_file, "--order", "2", "1",
+                 "--dump-dense", str(dense)]) == 0
+    cid = layer_space(cyclic(4), 2, 1, 1, 1).linear_partition.class_id.reshape(4, 16)
+    assert dense.read_text() == "out_code,in_code,class_id\n" + "".join(
+        f"{o},{i},{cid[o, i]}\n" for o in range(4) for i in range(16))
+
+
+def test_csv_table_is_written_in_chunks():
+    # 5^8 = 390 625 rows: one string per row took about 28 MB of traced
+    # memory; a chunk of rows at a time takes about 1.5 MB
+    from ginet.cli import _write_csv
+    cid = poly_classes(alternating(5), 8).class_id
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            _write_csv(fh, "code,class_id", cid, (5**8,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_approx_a6_vandermonde_exit0(tmp_path, capsys):
+    # degree 15 on [6]: 15 504 multisets, while the 6^15 tuple view would
+    # take terabytes; approx never builds it
+    group, poly = tmp_path / "a6.grp", tmp_path / "v6.poly"
+    group.write_text("name = alternating\nn = 6\n")
+    poly.write_text("name: vandermonde\n")
+    assert main(["approx", "--group", str(group), "--poly", str(poly), "--epsilon", "1e-10",
+                 "--exact-mul", "--eval-points", "2048"]) == 0
+    assert "within_epsilon: true" in capsys.readouterr().out
 
 
 def test_approx_command_exact(c4_file, ring_poly_file, tmp_path, capsys):

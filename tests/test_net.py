@@ -40,7 +40,7 @@ from ginet.net import (
 )
 from ginet.orbits import CapExceededError, layer_classes, poly_classes
 from ginet.permgroup import PermGroup, Permutation, cyclic, dihedral, symmetric
-from ginet.polybasis import Polynomial, basis_polynomials
+from ginet.polybasis import Polynomial, basis_polynomials, vandermonde
 from ginet.rng import SplitMix64
 
 
@@ -818,6 +818,28 @@ def test_approximate_builds_multisets_once_per_degree(monkeypatch):
     _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
     assert len(report.terms) == 13
     assert sorted(calls) == [1, 2, 3]
+
+
+def test_approximate_builds_no_tuple_view(monkeypatch):
+    # the expansion, the memory check and the class sums read each
+    # partition's rows and labels, never its n^k tuple view
+    import ginet.orbits
+    from ginet.permgroup import alternating, dihedral
+
+    def view(*args):
+        raise AssertionError("built the n^k tuple view")
+
+    monkeypatch.setattr(ginet.orbits, "_check_view", view)
+    G = dihedral(7)
+    p = Polynomial.zero(7)
+    for k in (1, 2, 3):
+        for b in basis_polynomials(G, k):
+            p = p + b.polynomial
+    _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    assert len(report.terms) == 13 and report.achieved_max_error <= 1e-10
+    _net, report = approximate_polynomial(alternating(5), vandermonde(5), 1e-6,
+                                          exact_mul=True, eval_points=50)
+    assert len(report.terms) == 2 and report.achieved_max_error <= 1e-10
 
 
 def test_approximate_builds_no_layer_partition(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from functools import partial
 
@@ -15,7 +16,6 @@ from ginet.orbits import (
     layer_classes,
     min_labels,
     multiplicities,
-    multisets,
     orbit_count_squared,
     poly_classes,
     tuple_action_codes,
@@ -157,7 +157,7 @@ def test_tuple_action_codes_moves_every_tuple(G, k):
 def test_multisets_one_sorted_row_per_multiset_with_its_orderings(G, k):
     # oracle: group every tuple of [n]^k by its sorted digits
     P = poly_classes(G, k)
-    digits, classes = multisets(P)
+    digits, classes = P.rows, P.labels
     orderings = {}
     for t in itertools.product(range(G.n), repeat=k):
         orderings.setdefault(tuple(sorted(t)), []).append(P.class_of(t))
@@ -169,18 +169,46 @@ def test_multisets_one_sorted_row_per_multiset_with_its_orderings(G, k):
                                       minlength=P.num_classes), P.sizes())
 
 
+def test_tuple_view_is_built_once():
+    P = poly_classes(dihedral(6), 3)
+    assert P.class_id is P.class_id
+    L = layer_classes(dihedral(6), 3)
+    assert L.class_id is L.labels
+
+
+# the largest k with k * n^k < 2^63, and the Burnside count of C_n's
+# orbits on its multisets: C2 swaps the counts of 0s and 1s (k // 2 + 1
+# orbits); C3 rotates the three counts (703 multisets, one fixed)
+@pytest.mark.parametrize("n, k, classes", [(2, 57, 29), (3, 36, 235)])
+def test_poly_classes_exact_at_the_largest_admitted_k(n, k, classes):
+    # beyond k n^k < 2^63 the row codes or the prefix products of
+    # multiplicities would wrap around in int64 without an error
+    assert k * n**k < 2**63 <= (k + 1) * n**(k + 1)
+    P = poly_classes(cyclic(n), k)
+    rows = P.rows.tolist()
+    assert rows == [list(m) for m in itertools.combinations_with_replacement(range(n), k)]
+    want = [math.factorial(k) // math.prod(math.factorial(row.count(d)) for d in range(n))
+            for row in rows]
+    assert multiplicities(P.rows).tolist() == want
+    assert sum(want) == n**k
+    assert P.num_classes == classes
+    with pytest.raises(CapExceededError, match=r"polynomial classes of \[\d\]\^\d+ need "):
+        poly_classes(cyclic(n), k + 1)
+
+
 @pytest.mark.parametrize("G", [trivial(1), cyclic(4), symmetric(5), alternating(5)], ids=repr)
 def test_multisets_at_k0_one_empty_row(G):
-    digits, classes = multisets(poly_classes(G, 0))
+    P = poly_classes(G, 0)
+    digits, classes = P.rows, P.labels
     assert digits.shape == (1, 0)
     assert classes.tolist() == [0]
     assert multiplicities(digits).tolist() == [1]
 
 
 def test_multisets_only_for_polynomial_partitions():
-    with pytest.raises(ValueError, match="layer partitions keep no multisets"):
-        multisets(layer_classes(cyclic(4), 2))
-    digits, classes = multisets(poly_classes(cyclic(4), 2))
+    assert layer_classes(cyclic(4), 2).rows is None
+    P = poly_classes(cyclic(4), 2)
+    digits, classes = P.rows, P.labels
     assert not digits.flags.writeable and not classes.flags.writeable
 
 
@@ -216,7 +244,7 @@ def assert_matches_tuple_kernel(G, k):
     assert np.array_equal(P.class_id, class_id)
     assert P.representatives == reps
     assert P.num_classes == count
-    for got, want in zip(multisets(P), tuple_multisets(class_id, G.n, k)):
+    for got, want in zip((P.rows, P.labels), tuple_multisets(class_id, G.n, k)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -456,17 +484,25 @@ def _dense(G, k, l, a, b):
     return random_layer(layer_space(G, k, l, a, b), SplitMix64(0)).materialize_dense
 
 
+def _view(G, k):
+    """The first read of a polynomial partition's tuple view."""
+    P = poly_classes(G, k)
+    return lambda: P.class_id
+
+
 @pytest.mark.parametrize("module, prepare", [
     (orbits, lambda: partial(layer_classes, dihedral(8), 7)),
     (orbits, lambda: partial(poly_classes, dihedral(8), 6)),
     (orbits, lambda: partial(poly_classes, alternating(5), 9)),
     (orbits, lambda: partial(poly_classes, symmetric(12), 6)),
+    (orbits, lambda: _view(dihedral(8), 6)),
+    (orbits, lambda: _view(alternating(5), 9)),
     (orbits, lambda: partial(layer_classes, cyclic(4), 10)),
     (orbits, lambda: partial(layer_classes, trivial(5), 8)),
     (equivlayers, lambda: _dense(cyclic(4), 5, 5, 1, 1)),
     (equivlayers, lambda: _dense(dihedral(8), 3, 3, 2, 3)),
-], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "S12-poly-6", "C4-layer-10", "trivial5-layer-8",
-        "dense-C4-5-5", "dense-D8-3-3-features-2-3"])
+], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "S12-poly-6", "D8-poly-6-view", "A5-poly-9-view",
+        "C4-layer-10", "trivial5-layer-8", "dense-C4-5-5", "dense-D8-3-3-features-2-3"])
 def test_memory_estimate_bounds_the_traced_peak(module, prepare, monkeypatch):
     """Each case has at least 100k codes or dense entries.  The estimate is
     at least the peak that tracemalloc sees (numpy reports its buffers to

@@ -529,9 +529,24 @@ def test_basis_and_expansion_walk_no_tuples(G, degrees, monkeypatch):
     oracle = tuple_expand_in_basis(p, G, bases=expected)
     monkeypatch.setattr("ginet.polybasis.decode", walk)
     monkeypatch.setattr(OrbitPartition, "members", walk)
+    monkeypatch.setattr("ginet.orbits._check_view", walk)
     for k in degrees:
         assert_same_basis(basis_polynomials(G, k), expected[k])
     assert bits(expand_in_basis(p, G)) == bits(oracle)
+
+
+def test_a5_vandermonde_basis_and_expansion_build_no_tuple_view(monkeypatch):
+    # degree 10 on [5]: 1001 multisets, and the 5^10 tuple view stays unbuilt
+    def view(*args):
+        raise AssertionError("built the n^k tuple view")
+
+    monkeypatch.setattr("ginet.orbits._check_view", view)
+    G = alternating(5)
+    basis = basis_polynomials(G, 10)
+    assert len(basis) == 31 and sum(b.size for b in basis) == 5**10
+    coeffs = expand_in_basis(vandermonde(5), G)
+    assert sorted(coeffs) == [(10, 21), (10, 22)]
+    assert coeffs[10, 21] == -coeffs[10, 22] == pytest.approx(1 / 12600)
 
 
 # ------------------------------------------------------------ vandermonde
