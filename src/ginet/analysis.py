@@ -78,7 +78,7 @@ def an_sn_layer_equality(n: int, max_total_order: int) -> LayerEqualityReport:
     for t in range(1, max_total_order + 1):
         pa = layer_classes(A, t)
         ps = layer_classes(S, t)
-        identical = bool(np.array_equal(pa.class_id, ps.class_id))
+        identical = bool(np.array_equal(pa.labels, ps.labels))
         rows.append(LayerEqualityRow(total_order=t, sn_classes=ps.num_classes,
                                      an_classes=pa.num_classes, identical=identical))
         if t <= n - 2 and not identical:
@@ -291,7 +291,7 @@ def two_closure(G: PermGroup) -> PermGroup:
     n = G.n
     if n > TWO_CLOSURE_MAX_N:
         raise ValueError(f"two_closure enumerates S_{n}; capped at n <= {TWO_CLOSURE_MAX_N}")
-    coloring = layer_classes(G, 2).class_id.reshape(n, n).tolist()
+    coloring = layer_classes(G, 2).labels.reshape(n, n).tolist()
     # the search yields permutations only, so skip Permutation's check
     members = [Permutation._trusted(images)
                for images in _coloring_automorphisms(coloring)]

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 a verified property failed (CI can consume the
 verifiers directly), 2 usage or parse errors, 3 a resource limit was
-exceeded (a tuple kernel's memory estimate, the group listing limit, or
-memory).
+exceeded (a tuple kernel's memory estimate or int64 limit, the group
+listing limit, or memory).
 
 Reports are byte-stable for a fixed seed: the ``timings`` section holds
 deterministic work counters, and wall-clock time goes to stderr only.
@@ -204,12 +204,13 @@ def _config_dict(args, keys: Sequence[str]) -> dict:
     return out
 
 
-def _write_csv(fh, header: str, class_id: np.ndarray, shape: tuple[int, ...]) -> None:
-    """The header, then a row per class_id entry: its index into shape, its class."""
+def _write_csv(fh, header: str, classes_of, shape: tuple[int, ...]) -> None:
+    """The header, then a row per code: its index into shape, its class."""
     fh.write(header + "\n")
-    for start in range(0, class_id.size, _CSV_CHUNK):
-        at = np.arange(start, min(start + _CSV_CHUNK, class_id.size))
-        table = np.column_stack(np.unravel_index(at, shape) + (class_id[at],))
+    size = math.prod(shape)
+    for start in range(0, size, _CSV_CHUNK):
+        at = np.arange(start, min(start + _CSV_CHUNK, size))
+        table = np.column_stack(np.unravel_index(at, shape) + (classes_of(at),))
         fh.write(("%d," * len(shape) + "%d\n") * len(at) % tuple(table.ravel().tolist()))
 
 
@@ -218,15 +219,15 @@ def _write_csv(fh, header: str, class_id: np.ndarray, shape: tuple[int, ...]) ->
 def _cmd_orbits(args) -> int:
     G = parse_group_file(args.group)
     kind = args.kind
-    if kind == "poly" and args.k >= 0:  # class_sizes reads the tuple view
-        orbits._check_view(G.n, args.k)
+    if (args.dump or args.format == "csv") and G.n**args.k >= 2**63:
+        raise orbits.CapExceededError(f"the code,class_id CSV of [{G.n}]^{args.k} needs n^k < 2^63")
     P = (orbits.poly_classes if kind == "poly" else orbits.layer_classes)(G, args.k)
     lines = [f"group order: {G.order}", f"num_classes: {P.num_classes}"]
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
-            _write_csv(fh, "code,class_id", P.class_id, (G.n**args.k,))
+            _write_csv(fh, "code,class_id", P.classes_of, (G.n**args.k,))
     if args.format == "csv":
-        _write_csv(sys.stdout, "code,class_id", P.class_id, (G.n**args.k,))
+        _write_csv(sys.stdout, "code,class_id", P.classes_of, (G.n**args.k,))
         lines = []
     results = {"n": G.n, "k": args.k, "kind": kind,
                "group_order": G.order, "num_classes": P.num_classes,
@@ -246,7 +247,7 @@ def _cmd_basis(args) -> int:
              f"bias_dim: {sp.bias_dim}"]
     if args.dump_dense:
         with open(args.dump_dense, "w", encoding="utf-8") as fh:
-            _write_csv(fh, "out_code,in_code,class_id", sp.linear_partition.class_id,
+            _write_csv(fh, "out_code,in_code,class_id", sp.linear_partition.classes_of,
                        (G.n**l, G.n**k))
     results = {"n": G.n, "k": k, "l": l, "a": a, "b": b,
                "group_order": G.order,

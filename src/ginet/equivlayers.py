@@ -118,10 +118,10 @@ class EquivariantLayer:
         n = sp.n
         rows_in, rows_out = n**sp.k, n**sp.l
         _check_memory(16 * rows_out * sp.b * (rows_in * sp.a + 1), "the dense layer")
-        cid = sp.linear_partition.class_id.reshape(rows_out, rows_in)
+        cid = sp.linear_partition.labels.reshape(rows_out, rows_in)
         dense = self.linear_coeffs[cid]                     # (out, in, a, b)
         matrix = dense.transpose(0, 3, 1, 2).reshape(rows_out * sp.b, rows_in * sp.a)
-        bias = self.bias_coeffs[sp.bias_partition.class_id].reshape(-1)
+        bias = self.bias_coeffs[sp.bias_partition.labels].reshape(-1)
         return matrix, bias
 
 
@@ -145,7 +145,7 @@ def apply_stacked(space: LayerSpace, linear: np.ndarray, bias: np.ndarray,
     if X.shape[0] != T or X.shape[2:] != (rows_in, a):
         raise ValueError(f"input has shape {X.shape}, expected "
                          f"{(T, Z, rows_in, a)}")
-    cid_t = space.linear_partition.class_id.reshape(rows_out, rows_in).T
+    cid_t = space.linear_partition.labels.reshape(rows_out, rows_in).T
     coeffs = np.ascontiguousarray(linear.transpose(0, 2, 1, 3))     # (T, a, C, b)
     Xa = X.transpose(0, 1, 3, 2).reshape(T, Z, a * rows_in)
     out = np.empty((T, Z, rows_out, b))
@@ -155,7 +155,7 @@ def apply_stacked(space: LayerSpace, linear: np.ndarray, bias: np.ndarray,
         block = np.take(coeffs, cid_t[:, start:stop], axis=2)       # (T, a, n^k, R, b)
         Y = np.matmul(Xa, block.reshape(T, a * rows_in, -1))         # (T, Z, R*b)
         out[:, :, start:stop, :] = Y.reshape(T, Z, stop - start, b)
-    out += bias[:, None, space.bias_partition.class_id]
+    out += bias[:, None, space.bias_partition.labels]
     return out
 
 

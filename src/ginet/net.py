@@ -947,8 +947,8 @@ class ClassSumStage:
     A polynomial class holds every ordering of each of its multisets, and
     every gadget is a function of the multiset of its inputs (it sorts
     each row by value), so the stage keeps one digit row per multiset,
-    the nondecreasing one from the partition's rows (it never reads the
-    n^k tuple view), with its multinomial multiplicity, and each
+    the nondecreasing one from the partition's rows (no array of the n^k
+    tuples), with its multinomial multiplicity, and each
     point reduces to sum(mult * value) + (n^k - |class|) * gadget(0).  A
     layer partition is not closed under reordering and is rejected.
 
@@ -982,7 +982,7 @@ class ClassSumStage:
             # and the n^k - |class| multiplier would amplify that gap
             digits = np.vstack([digits, np.full((1, k), n)])
             self.terms.append((digits, mult.astype(np.float64), gadget,
-                               n**k - int(mult.sum())))
+                               n**k - sum(mult.tolist())))
 
     def forward(self, T: np.ndarray) -> np.ndarray:
         B = T.shape[0]

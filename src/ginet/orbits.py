@@ -14,20 +14,19 @@ min-label propagation over one permutation array per generator
 (min_labels): every point's label falls to the least label among its
 images, then jumps to its label's label, until nothing changes.  The
 layer relation's points are the n^k codes; the polynomial relation's
-are the multisets, held as nondecreasing rows in code order, and a tuple
-takes the class of its sorted digits in a view built when first read.
-The least points of the classes serve as representatives, and class ids
+are the multisets, held as nondecreasing rows in code order and ranked
+in closed form, and a tuple takes the class of its sorted digits.  The
+least points of the classes serve as representatives, and class ids
 ascend with them; the result is deterministic and independent of
 generator order.
 
-Before it builds a partition of [n]^k or a tuple view, each function here
-estimates its peak bytes and raises CapExceededError when the estimate is
-over the physical memory.  Nothing sets this limit.
+Before it builds a partition of [n]^k, each function here estimates its
+peak bytes and raises CapExceededError when the estimate is over the
+physical memory.  Nothing sets this limit.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -86,44 +85,41 @@ class OrbitPartition:
     representatives: tuple[tuple[int, ...], ...]
     rows: np.ndarray | None = None
 
-    @functools.cached_property
-    def class_id(self) -> np.ndarray:
-        """The class of each n^k tuple code; a polynomial partition builds
-        this view on first read, each tuple in the class of its sorted digits."""
+    def classes_of(self, codes: np.ndarray) -> np.ndarray:
+        """The class of each tuple code in an int64 array; a polynomial
+        partition ranks the sorted digits of each among its rows."""
         if self.rows is None:
-            return self.labels
-        n, k, rows = self.n, self.k, self.rows
-        _check_view(n, k)
-        # after j < k digits a tuple stands at the rank of its multiset's
-        # row padded with k - j zeros; rows led by 0 come first, so their
-        # ranks index tails, and a step replaces that 0 by the next digit
-        class_id = np.zeros(1, dtype=np.int64)
-        if k:
-            tails = rows[rows[:, 0] == 0, 1:]
-            step = np.column_stack([_rank(rows, n, np.insert(tails, 0, d, 1)) for d in range(n)])
-            for table in [step] * (k - 1) + [self.labels[step]]:
-                class_id = table[class_id].reshape(-1)
-        class_id.flags.writeable = False
-        return class_id
+            return self.labels[codes]
+        digits = codes[:, None] // self.n ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
+        digits %= self.n
+        return self.labels[_rank(self.n, digits)]
 
     def class_of(self, t) -> int:
         """Class id of a tuple given as a digit sequence or a code."""
         if isinstance(t, (int, np.integer)):
-            code = int(t)
+            t = decode(int(t), self.n, self.k)
         elif len(t) != self.k:
             raise ValueError(f"tuple {tuple(t)} has length {len(t)}, expected k = {self.k}")
-        else:
-            code = encode(t, self.n)
-        if not 0 <= code < self.class_id.shape[0]:
-            raise ValueError(f"tuple code {code} out of range for n^k")
-        return int(self.class_id[code])
+        code = encode(t, self.n)  # checks every digit
+        if self.rows is not None:
+            code = _rank(self.n, np.array([t], dtype=np.int64))[0]
+        return int(self.labels[code])
 
     def members(self, class_index: int) -> np.ndarray:
-        """Codes of all tuples in the class, ascending."""
-        return np.flatnonzero(self.class_id == class_index)
+        """Codes of all tuples in the class, ascending (3 int64s per code at
+        the peak, 2k + 6 for a polynomial partition)."""
+        n, k = self.n, self.k
+        _check_memory(8 * n**k * (2 * k + 6 if self.rows is not None else 3),
+                      f"the members of a {self.kind} class of [{n}]^{k}")
+        return np.flatnonzero(self.classes_of(np.arange(n**k)) == class_index)
 
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.class_id, minlength=self.num_classes)
+        """Tuples per class, as Python ints once n^k >= 2^63 (S5 has such a class at k = 29)."""
+        if self.rows is None:
+            return np.bincount(self.labels, minlength=self.num_classes)
+        sizes = np.zeros(self.num_classes, dtype=np.int64 if self.n**self.k < 2**63 else object)
+        np.add.at(sizes, self.labels, multiplicities(self.rows).astype(sizes.dtype))
+        return sizes
 
 
 def _check_memory(nbytes: int, what: str) -> None:
@@ -170,26 +166,21 @@ def _check_orbits(G: PermGroup, k: int, kind: str) -> None:
     """k >= 0, and the orbit kernel's estimated peak fits in memory: the
     representatives plus, at 8 bytes each, for LAYER a code map per
     generator and six working arrays per code; for POLYNOMIAL maps + 2k + 8
-    arrays per multiset, whose codes and multiplicities stay exact in int64
-    while k n^k < 2^63."""
+    arrays per multiset, whose multiplicities stay exact in int64 while k M
+    < 2^63, M = k! / ((q+1)!^r q!^(n-r)) the largest, q, r = divmod(k, n)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n, maps = G.n, len(G.generators)
-    if kind == POLYNOMIAL and k * n**k >= 2**63:
-        raise CapExceededError(f"the polynomial classes of [{n}]^{k} need k * n^k < 2^63 "
-                               f"for exact int64 codes")
+    if kind == POLYNOMIAL:
+        q, r = divmod(k, n)
+        largest = math.factorial(k) // (math.factorial(q + 1)**r * math.factorial(q)**(n - r))
+        if k * largest >= 2**63:
+            raise CapExceededError(f"the polynomial classes of [{n}]^{k} need k * M < 2^63, "
+                                   f"M = {largest} the largest multinomial")
     nbytes = 8 * math.comb(n + k - 1, k) * (maps + 2 * k + 8) \
         if kind == POLYNOMIAL else 8 * n**k * (maps + 6)
     _check_memory(nbytes + _representative_bytes(n, k, G.order, kind),
                   f"the {kind} classes of [{n}]^{k}")
-
-
-def _check_view(n: int, k: int) -> None:
-    """The polynomial tuple view's estimated peak fits in memory: at 8
-    bytes each, its last step (n^k + n^(k-1) codes) and three copies of its
-    step table (at most min(n^k, n m) entries, m the multisets)."""
-    nbytes = 8 * (n**k + n**k // n + 3 * min(n**k, n * math.comb(n + k - 1, k)))
-    _check_memory(nbytes, f"the tuple view of the polynomial classes of [{n}]^{k}")
 
 
 def min_labels(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -225,27 +216,34 @@ def layer_classes(G: PermGroup, k: int) -> OrbitPartition:
 
 def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
     """The nondecreasing rows of [n]^k, one per multiset, in code order."""
-    rows = list(itertools.combinations_with_replacement(range(n), k))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    return np.array(list(itertools.combinations_with_replacement(range(n), k)), dtype=np.int64)
 
 
-def _rank(rows: np.ndarray, n: int, digits: np.ndarray) -> np.ndarray:
-    """The index among the nondecreasing rows of each row of digits, sorted."""
-    weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    return np.searchsorted(rows @ weights, np.sort(digits, axis=1) @ weights)
+def _rank(n: int, digits: np.ndarray) -> np.ndarray:
+    """The index among the nondecreasing rows of [n]^k, in code order, of
+    each row of digits, sorted.  The rows before a sorted row s agree with
+    it up to some column i and hold a digit in [s_(i-1), s_i) there
+    (s_(-1) = 0): B_i[s_(i-1)] - B_i[s_i] of them, B_i[v] = C(n-v+k-i-1, k-i)
+    the nondecreasing rows of length k - i with no digit below v."""
+    digits = np.sort(digits, axis=1)
+    k = digits.shape[1]
+    rank = np.zeros(digits.shape[0], dtype=np.int64)
+    for i in range(k):
+        B = np.array([math.comb(n - v + k - i - 1, k - i) for v in range(n + 1)], dtype=np.int64)
+        rank += (B[digits[:, i - 1]] if i else B[0]) - B[digits[:, i]]
+    return rank
 
 
 def poly_classes(G: PermGroup, k: int) -> OrbitPartition:
     """Orbits of [n]^k under G jointly with permutations of tuple positions.
 
     These are G's orbits on the multisets, each a nondecreasing row; a
-    generator maps a row to its sorted images, ranked among the row codes.
-    The partition keeps the rows and their classes; its n^k tuple view,
-    class_id, is built only when read.
+    generator maps a row to the rank of its sorted images (in the least
+    integer type that holds n).  The partition keeps the rows and labels.
     """
     _check_orbits(G, k, POLYNOMIAL)
     rows = _nondecreasing_rows(G.n, k)
-    maps = [_rank(rows, G.n, np.asarray(g.images)[rows]) for g in G.generators]
+    maps = [_rank(G.n, np.asarray(g.images, np.min_scalar_type(G.n))[rows]) for g in G.generators]
     labels, least = _classes(min_labels(rows.shape[0], maps))
     rows.flags.writeable = labels.flags.writeable = False
     return OrbitPartition(G.n, k, POLYNOMIAL, labels, len(least),

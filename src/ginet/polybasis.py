@@ -39,8 +39,8 @@ from .permgroup import PermGroup, Permutation
 INVARIANCE_TOL = 1e-9
 
 # Full expansion of the pairwise-difference product has n! terms; past
-# n=6 callers should evaluate it instead.
-VANDERMONDE_EXPANSION_LIMIT = 6
+# n=7 callers should evaluate it instead.
+VANDERMONDE_EXPANSION_LIMIT = 7
 
 Monomial = tuple[int, ...]  # exponent vector of length n
 
@@ -270,16 +270,16 @@ def basis_polynomials(G: PermGroup, k: int,
     for c, exps, mult in zip(*_multiset_table(partition)):
         terms[c][exps] = float(mult)
     return [BasisPolynomial(degree=k, class_index=c, representative=partition.representatives[c],
-                            size=int(sum(t.values())), polynomial=Polynomial(G.n, t))
-            for c, t in enumerate(terms)]
+                            size=size, polynomial=Polynomial(G.n, t))
+            for c, (t, size) in enumerate(zip(terms, partition.sizes().tolist()))]
 
 
 def indicator_tensor(partition: OrbitPartition, class_index: int) -> CoeffTensor:
     """0/1 tensor supported on one polynomial class; symmetric by construction."""
     if partition.kind != "polynomial":
         raise ValueError("indicator tensors are defined for polynomial classes")
-    flat = (partition.class_id == class_index).astype(np.float64)
-    values = flat.reshape((partition.n,) * partition.k)
+    values = np.zeros((partition.n,) * partition.k)
+    values.flat[partition.members(class_index)] = 1.0
     return CoeffTensor(n=partition.n, k=partition.k, values=values)
 
 
@@ -343,7 +343,7 @@ def vandermonde(n: int) -> Polynomial:
     """Expanded product of all pairwise differences prod_{i<j} (x_i - x_j).
 
     Sign flips under odd permutations, fixed under even ones.  Expansion
-    has n! terms; beyond n=6 use vandermonde_value instead.
+    has n! terms; beyond n=7 use vandermonde_value instead.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -223,7 +223,7 @@ def test_alternating_layer_spaces_compute_each_partition_once(n, order, monkeypa
             g, r = getattr(got, part), getattr(ref, part)
             assert (g.n, g.k, g.kind, g.num_classes, g.representatives) == \
                 (r.n, r.k, r.kind, r.num_classes, r.representatives)
-            assert np.array_equal(g.class_id, r.class_id)
+            assert np.array_equal(g.labels, r.labels)
     assert spaces[0].bias_partition is spaces[1].bias_partition is spaces[2].linear_partition
 
 
@@ -320,8 +320,8 @@ def test_two_closure_idempotent():
 def test_two_closure_preserves_pair_partition():
     for G in (cyclic(5), dihedral(4), alternating(4)):
         H = two_closure(G)
-        assert np.array_equal(layer_classes(G, 2).class_id,
-                              layer_classes(H, 2).class_id)
+        assert np.array_equal(layer_classes(G, 2).labels,
+                              layer_classes(H, 2).labels)
 
 
 def test_is_two_closed_reports():
@@ -356,7 +356,7 @@ def two_closure_by_scan(G: PermGroup) -> PermGroup:
     """Oracle: test every one of the n! permutations against the pair
     coloring, then pick generators greedily in lex order."""
     n = G.n
-    coloring = layer_classes(G, 2).class_id.reshape(n, n)
+    coloring = layer_classes(G, 2).labels.reshape(n, n)
     members = []
     for images in itertools.permutations(range(n)):
         arr = np.array(images)

@@ -219,12 +219,12 @@ def test_csv_tables_match_one_row_per_code(c4_file, tmp_path, monkeypatch, capsy
     dump, dense = tmp_path / "orbits.csv", tmp_path / "dense.csv"
     assert main(["orbits", "--group", c4_file, "--k", "3", "--kind", "poly",
                  "--format", "csv", "--dump", str(dump)]) == 0
-    cid = poly_classes(cyclic(4), 3).class_id
-    want = "code,class_id\n" + "".join(f"{c},{cid[c]}\n" for c in range(64))
+    P = poly_classes(cyclic(4), 3)
+    want = "code,class_id\n" + "".join(f"{c},{P.class_of(c)}\n" for c in range(64))
     assert dump.read_text() == capsys.readouterr().out == want
     assert main(["basis", "--group", c4_file, "--order", "2", "1",
                  "--dump-dense", str(dense)]) == 0
-    cid = layer_space(cyclic(4), 2, 1, 1, 1).linear_partition.class_id.reshape(4, 16)
+    cid = layer_space(cyclic(4), 2, 1, 1, 1).linear_partition.labels.reshape(4, 16)
     assert dense.read_text() == "out_code,in_code,class_id\n" + "".join(
         f"{o},{i},{cid[o, i]}\n" for o in range(4) for i in range(16))
 
@@ -233,11 +233,11 @@ def test_csv_table_is_written_in_chunks():
     # 5^8 = 390 625 rows: one string per row took about 28 MB of traced
     # memory; a chunk of rows at a time takes about 1.5 MB
     from ginet.cli import _write_csv
-    cid = poly_classes(alternating(5), 8).class_id
+    classes_of = poly_classes(alternating(5), 8).classes_of
     with open(os.devnull, "w", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            _write_csv(fh, "code,class_id", cid, (5**8,))
+            _write_csv(fh, "code,class_id", classes_of, (5**8,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,18 +388,39 @@ def test_tuple_cap_exit3(c4_file, monkeypatch, capsys):
     def no_arrays(*args):
         raise AssertionError("an n^k array was built")  # would exit 1
 
-    # the memory check exits 3 at once, before the kernel builds a code map
+    # the memory check exits 3 at once, before the kernel builds a code map;
+    # C4's polynomial classes at k = 40 fit in memory (12 341 multisets),
+    # but 40 times the largest multinomial, 40!/(10!)^4, is over 2^63
     monkeypatch.setattr(ginet.orbits, "tuple_action_codes", no_arrays)
     monkeypatch.setattr(ginet.orbits, "min_labels", no_arrays)
-    for argv in (["orbits", "--group", c4_file, "--k", "40", "--kind", "layer"],
-                 ["orbits", "--group", c4_file, "--k", "40", "--kind", "poly"],
-                 ["basis", "--group", c4_file, "--order", "20", "20"],
-                 ["verify", "an-sn", "--n", "12", "--max-order", "12"]):
+    physical = "bytes of physical memory"
+    for argv, reason in ((["orbits", "--group", c4_file, "--k", "40", "--kind", "layer"], physical),
+                         (["orbits", "--group", c4_file, "--k", "40", "--kind", "poly"],
+                          "need k * M < 2^63"),
+                         (["basis", "--group", c4_file, "--order", "20", "20"], physical),
+                         (["verify", "an-sn", "--n", "12", "--max-order", "12"], physical)):
         start = time.perf_counter()
         assert main(argv) == 3
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert "resource limit exceeded" in err and "bytes of physical memory" in err
+        assert "resource limit exceeded" in err and reason in err
+
+
+# C4's 6545 multisets at k = 32 make a small partition, but its 4^32 = 2^64
+# tuple codes do not fit in int64: the code,class_id tables exit 3 before
+# they write a byte
+def test_csv_beyond_int64_codes_exit3(c4_file, tmp_path, capsys):
+    dump = tmp_path / "orbits.csv"
+    for argv in (["--format", "csv"], ["--dump", str(dump)]):
+        assert main(["orbits", "--group", c4_file, "--k", "32", "--kind", "poly"] + argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and not dump.exists()
+        assert "the code,class_id CSV of [4]^32 needs n^k < 2^63" in err
+    assert main(["orbits", "--group", c4_file, "--k", "32", "--kind", "poly",
+                 "--format", "json"]) == 0
+    # Burnside: (6545 + 1 + 17 + 1) / 4 classes, for the rotations by 0..3
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["num_classes"] == 1641 and sum(results["class_sizes"]) == 4**32
 
 
 # k < 0 used to leak numpy's "can only specify one unknown dimension"

@@ -224,7 +224,7 @@ def test_selection_layer_outputs_are_exact():
         out = L.apply_flat(x)
         codes = np.arange(5**3)
         digits = codes[:, None] // 5 ** np.arange(2, -1, -1) % 5
-        inside = P.class_id == c
+        inside = P.classes_of(codes) == c
         want = np.where(inside[None, :, None], x[:, digits, 0], 0.0)
         assert np.array_equal(out, want)
 
@@ -234,7 +234,7 @@ def test_materialize_dense_row_pattern():
     sp = layer_space(cyclic(4), 1, 1, 1, 1)
     L = random_layer(sp, rng)
     M, _ = L.materialize_dense()
-    cid = sp.linear_partition.class_id.reshape(4, 4)
+    cid = sp.linear_partition.labels.reshape(4, 4)
     for r in range(4):
         for c in range(4):
             assert M[r, c] == L.linear_coeffs[cid[r, c], 0, 0]
@@ -433,7 +433,7 @@ def test_an_sn_spaces_identical_in_range():
                 continue
             A = layer_space(alternating(n), k, l, 1, 1)
             S = layer_space(symmetric(n), k, l, 1, 1)
-            assert np.array_equal(A.linear_partition.class_id,
-                                  S.linear_partition.class_id)
-            assert np.array_equal(A.bias_partition.class_id,
-                                  S.bias_partition.class_id)
+            assert np.array_equal(A.linear_partition.labels,
+                                  S.linear_partition.labels)
+            assert np.array_equal(A.bias_partition.labels,
+                                  S.bias_partition.labels)

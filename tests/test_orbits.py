@@ -119,8 +119,9 @@ def union_find_classes(G, k, positions=False):
 def assert_matches_union_find(G, k):
     for P, positions in ((layer_classes(G, k), False), (poly_classes(G, k), True)):
         class_id, reps, count = union_find_classes(G, k, positions)
-        assert P.class_id.dtype == class_id.dtype
-        assert np.array_equal(P.class_id, class_id)
+        got = P.classes_of(np.arange(G.n**k))
+        assert got.dtype == class_id.dtype
+        assert np.array_equal(got, class_id)
         assert P.representatives == reps
         assert P.num_classes == count
 
@@ -169,21 +170,21 @@ def test_multisets_one_sorted_row_per_multiset_with_its_orderings(G, k):
                                       minlength=P.num_classes), P.sizes())
 
 
-def test_tuple_view_is_built_once():
-    P = poly_classes(dihedral(6), 3)
-    assert P.class_id is P.class_id
-    L = layer_classes(dihedral(6), 3)
-    assert L.class_id is L.labels
+def largest_multinomial(n, k):
+    """The most orderings of any multiset of [n]^k, over all count vectors."""
+    return max(math.factorial(k) // math.prod(map(math.factorial, counts))
+               for counts in itertools.product(range(k + 1), repeat=n) if sum(counts) == k)
 
 
-# the largest k with k * n^k < 2^63, and the Burnside count of C_n's
-# orbits on its multisets: C2 swaps the counts of 0s and 1s (k // 2 + 1
-# orbits); C3 rotates the three counts (703 multisets, one fixed)
-@pytest.mark.parametrize("n, k, classes", [(2, 57, 29), (3, 36, 235)])
+# the largest k with k * M < 2^63, M the largest multinomial, and the
+# Burnside count of C_n's orbits on its multisets: C2 swaps the counts of
+# 0s and 1s (k // 2 + 1 orbits); C3 rotates the three counts (820
+# multisets, one fixed)
+@pytest.mark.parametrize("n, k, classes", [(2, 60, 31), (3, 39, 274)])
 def test_poly_classes_exact_at_the_largest_admitted_k(n, k, classes):
-    # beyond k n^k < 2^63 the row codes or the prefix products of
-    # multiplicities would wrap around in int64 without an error
-    assert k * n**k < 2**63 <= (k + 1) * n**(k + 1)
+    # beyond k M < 2^63 the prefix products of multiplicities would wrap
+    # around in int64 without an error
+    assert k * largest_multinomial(n, k) < 2**63 <= (k + 1) * largest_multinomial(n, k + 1)
     P = poly_classes(cyclic(n), k)
     rows = P.rows.tolist()
     assert rows == [list(m) for m in itertools.combinations_with_replacement(range(n), k)]
@@ -192,6 +193,8 @@ def test_poly_classes_exact_at_the_largest_admitted_k(n, k, classes):
     assert multiplicities(P.rows).tolist() == want
     assert sum(want) == n**k
     assert P.num_classes == classes
+    assert P.sizes().tolist() == [sum(m for m, c in zip(want, P.labels.tolist()) if c == ci)
+                                  for ci in range(classes)]
     with pytest.raises(CapExceededError, match=r"polynomial classes of \[\d\]\^\d+ need "):
         poly_classes(cyclic(n), k + 1)
 
@@ -210,6 +213,61 @@ def test_multisets_only_for_polynomial_partitions():
     P = poly_classes(cyclic(4), 2)
     digits, classes = P.rows, P.labels
     assert not digits.flags.writeable and not classes.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", range(7))
+def test_rank_numbers_the_rows_in_code_order(n, k):
+    # oracle: the position of each sorted row in itertools' walk
+    rows = list(itertools.combinations_with_replacement(range(n), k))
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    assert np.array_equal(orbits._rank(n, rows), np.arange(len(rows)))
+    # any ordering of a row's digits ranks as the row
+    for ordering in (rows[:, ::-1], np.roll(rows, 1, axis=1)):
+        assert np.array_equal(orbits._rank(n, ordering), np.arange(len(rows)))
+
+
+def test_poly_sizes_exact_past_2_to_the_53():
+    # C4 at k = 32: 4^32 = 2^64 tuples, and the class of 8 copies of each
+    # digit alone holds 32!/(8!)^4 > 2^53 of them; float weights would round
+    n, k = 4, 32
+    P = poly_classes(cyclic(n), k)
+    rows = P.rows.tolist()
+    want = [0] * P.num_classes
+    for row, c in zip(rows, P.labels.tolist()):
+        want[c] += math.factorial(k) // math.prod(math.factorial(row.count(d)) for d in range(n))
+    sizes = P.sizes()
+    assert [int(s) for s in sizes] == want
+    assert max(want) > 2**53 and sum(int(s) for s in sizes) == n**k
+
+
+def test_a7_classes_at_the_vandermonde_degree():
+    # degree 21 = 7 * 6 / 2, Goebel's bound for n = 7: 296 010 multisets of
+    # the 7^21 tuples, whose codes would overflow 21 * 7^21 > 2^63
+    G, k = alternating(7), 21
+    P = poly_classes(G, k)
+    assert P.rows.shape == (math.comb(7 + k - 1, k), k)
+    assert np.array_equal(orbits._rank(7, P.rows), np.arange(P.rows.shape[0]))
+    assert sum(int(s) for s in P.sizes()) == 7**k
+    for c, rep in enumerate(P.representatives):
+        assert P.class_of(rep) == c
+    # a generator's images of each row stay in the row's class
+    for g in G.generators:
+        images = np.asarray(g.images)[P.rows]
+        assert np.array_equal(P.labels[orbits._rank(7, images)], P.labels)
+
+
+def test_class_of_allocates_no_tuple_array():
+    # A6 at k = 15 has 6^15 = 4.7e11 tuples and 15 504 multisets
+    P = poly_classes(alternating(6), 15)
+    tracemalloc.start()
+    try:
+        assert P.class_of((0,) * 15) == 0
+        assert P.class_of(6**15 - 1) == P.class_of((5,) * 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 # ---------------------------------------------------------------- tuple kernel oracle
@@ -240,8 +298,9 @@ def tuple_multisets(class_id, n, k):
 def assert_matches_tuple_kernel(G, k):
     P = poly_classes(G, k)
     class_id, reps, count = tuple_poly_classes(G, k)
-    assert P.class_id.dtype == class_id.dtype
-    assert np.array_equal(P.class_id, class_id)
+    got = P.classes_of(np.arange(G.n**k))
+    assert got.dtype == class_id.dtype
+    assert np.array_equal(got, class_id)
     assert P.representatives == reps
     assert P.num_classes == count
     for got, want in zip((P.rows, P.labels), tuple_multisets(class_id, G.n, k)):
@@ -323,7 +382,8 @@ def test_layer_classes_k0():
 def test_representatives_match_decode(G, k):
     """Oracle: each class's least code, decoded one at a time."""
     for P in (layer_classes(G, k), poly_classes(G, k)):
-        least = [int(np.flatnonzero(P.class_id == c)[0]) for c in range(P.num_classes)]
+        classes = P.classes_of(np.arange(G.n**k))
+        least = [int(np.flatnonzero(classes == c)[0]) for c in range(P.num_classes)]
         assert P.representatives == tuple(decode(code, G.n, k) for code in least)
         assert all(type(d) is int for rep in P.representatives for d in rep)
 
@@ -385,9 +445,10 @@ def test_poly_refines_layer():
     for G, k in [(cyclic(4), 2), (dihedral(4), 2), (symmetric(3), 3)]:
         L = layer_classes(G, k)
         Q = poly_classes(G, k)
+        poly = Q.classes_of(np.arange(G.n**k))
         mapping = {}
         for code in range(G.n**k):
-            lc, qc = int(L.class_id[code]), int(Q.class_id[code])
+            lc, qc = int(L.labels[code]), int(poly[code])
             assert mapping.setdefault(lc, qc) == qc
         assert Q.num_classes <= L.num_classes
 
@@ -449,7 +510,7 @@ def test_equality_patterns_match_symmetric_layer_classes():
     for n, k in cases + [(1, 4), (2, 4), (1, 5), (2, 5), (3, 5)]:
         E = equality_pattern_partition(n, k)
         L = layer_classes(symmetric(n), k)
-        assert np.array_equal(E.class_id, L.class_id)
+        assert np.array_equal(E.labels, L.labels)
         assert E.representatives == L.representatives
 
 
@@ -484,10 +545,9 @@ def _dense(G, k, l, a, b):
     return random_layer(layer_space(G, k, l, a, b), SplitMix64(0)).materialize_dense
 
 
-def _view(G, k):
-    """The first read of a polynomial partition's tuple view."""
-    P = poly_classes(G, k)
-    return lambda: P.class_id
+def _members(G, k):
+    """All tuple classes of a polynomial partition, read for one class."""
+    return partial(poly_classes(G, k).members, 0)
 
 
 @pytest.mark.parametrize("module, prepare", [
@@ -495,13 +555,12 @@ def _view(G, k):
     (orbits, lambda: partial(poly_classes, dihedral(8), 6)),
     (orbits, lambda: partial(poly_classes, alternating(5), 9)),
     (orbits, lambda: partial(poly_classes, symmetric(12), 6)),
-    (orbits, lambda: _view(dihedral(8), 6)),
-    (orbits, lambda: _view(alternating(5), 9)),
+    (orbits, lambda: _members(dihedral(8), 6)),
     (orbits, lambda: partial(layer_classes, cyclic(4), 10)),
     (orbits, lambda: partial(layer_classes, trivial(5), 8)),
     (equivlayers, lambda: _dense(cyclic(4), 5, 5, 1, 1)),
     (equivlayers, lambda: _dense(dihedral(8), 3, 3, 2, 3)),
-], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "S12-poly-6", "D8-poly-6-view", "A5-poly-9-view",
+], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "S12-poly-6", "D8-poly-6-members",
         "C4-layer-10", "trivial5-layer-8", "dense-C4-5-5", "dense-D8-3-3-features-2-3"])
 def test_memory_estimate_bounds_the_traced_peak(module, prepare, monkeypatch):
     """Each case has at least 100k codes or dense entries.  The estimate is
