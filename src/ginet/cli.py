@@ -270,7 +270,7 @@ def _cmd_approx(args) -> int:
     except net.TargetNotReachedError as exc:
         raise VerificationFailure(str(exc)) from None
     ok = report.achieved_max_error <= args.epsilon
-    results = report.to_dict()
+    results = asdict(report)
     results["within_epsilon"] = ok
     gadget_epochs = sum(t["gadget"].get("epochs", 0) for t in report.terms)
     lines = [f"group order: {G.order}",

@@ -185,17 +185,13 @@ def monomial_factors_layer(G: PermGroup, partition: OrbitPartition,
     membership in the class and the digit at a fixed slot are both
     carried along by the group action.
     """
-    k = partition.k
+    k, n = partition.k, G.n
     space = layer_space(G, 1, k, 1, k)
-    C = space.linear_partition.num_classes
-    coeffs = np.zeros((C, 1, k))
-    for c, rep in enumerate(space.linear_partition.representatives):
-        out_tuple, in_digit = rep[:k], rep[k]
-        if partition.class_of(out_tuple) != class_index:
-            continue
-        for pos in range(k):
-            if in_digit == out_tuple[pos]:
-                coeffs[c, 0, pos] = 1.0
+    # each linear class's least code: an output tuple, then an input digit
+    out, digit_in = np.divmod(space.linear_partition.least, n)
+    digits = out[:, None] // n ** np.arange(k - 1, -1, -1, dtype=np.int64) % n
+    hit = (digits == digit_in[:, None]) & (partition.classes_of(out) == class_index)[:, None]
+    coeffs = hit[:, None, :].astype(np.float64)
     Cb = space.bias_partition.num_classes
     return EquivariantLayer(space, coeffs, np.zeros((Cb, k)))
 

@@ -1159,21 +1159,6 @@ class ApproximationReport:
     eval_points: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "box": list(self.box),
-            "c": self.c,
-            "exact_mul": self.exact_mul,
-            "alpha_l1": self.alpha_l1,
-            "constant_term": self.constant_term,
-            "terms": self.terms,
-            "theoretical_bound": self.theoretical_bound,
-            "achieved_max_error": self.achieved_max_error,
-            "eval_points": self.eval_points,
-            "seed": self.seed,
-        }
-
 
 def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
                            box: tuple[float, float] = (-1.0, 1.0),
@@ -1240,7 +1225,7 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
         term_rows.append({
             "degree": k,
             "class_index": ci,
-            "representative": [d + 1 for d in partition.representatives[ci]],
+            "representative": [d + 1 for d in partition.representative(ci)],
             "alpha": alpha,
             "training_error": err,
             "error_budget": abs(alpha) * n**k * err,

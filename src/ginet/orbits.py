@@ -15,10 +15,10 @@ min-label propagation over one permutation array per generator
 images, then jumps to its label's label, until nothing changes.  The
 layer relation's points are the n^k codes; the polynomial relation's
 are the multisets, held as nondecreasing rows in code order and ranked
-in closed form, and a tuple takes the class of its sorted digits.  The
-least points of the classes serve as representatives, and class ids
-ascend with them; the result is deterministic and independent of
-generator order.
+in closed form, and a tuple takes the class of its sorted digits.  Each
+class is held by its least point (a tuple code, or a row index for the
+polynomial relation), and class ids ascend with those points; the
+result is deterministic and independent of generator order.
 
 Before it builds a partition of [n]^k, each function here estimates its
 peak bytes and raises CapExceededError when the estimate is over the
@@ -72,18 +72,28 @@ def decode(code: int, n: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """A partition of [n]^k; class ids ascend with representative codes.
-    labels holds the class of each kernel point: each n^k tuple code, or,
-    for a polynomial partition, each multiset, kept as its nondecreasing
-    digit row in rows (code order; at k = 0 the one empty row)."""
+    """A partition of [n]^k.  labels holds the class of each kernel point:
+    each n^k tuple code, or, for a polynomial partition, each multiset,
+    kept as its nondecreasing digit row in rows (code order; at k = 0 the
+    one empty row).  least holds each class's least point, strictly
+    ascending with the class id: a tuple code, or an index into rows."""
 
     n: int
     k: int
     kind: str
     labels: np.ndarray
-    num_classes: int
-    representatives: tuple[tuple[int, ...], ...]
+    least: np.ndarray
     rows: np.ndarray | None = None
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.least)
+
+    def representative(self, class_index: int) -> tuple[int, ...]:
+        """The digits of the class's least point, as Python ints."""
+        if self.rows is None:
+            return decode(int(self.least[class_index]), self.n, self.k)
+        return tuple(self.rows[self.least[class_index]].tolist())
 
     def classes_of(self, codes: np.ndarray) -> np.ndarray:
         """The class of each tuple code in an int64 array; a polynomial
@@ -131,43 +141,15 @@ def _check_memory(nbytes: int, what: str) -> None:
             f"{_PHYSICAL_MEMORY} bytes of physical memory")
 
 
-def _representative_bytes(n: int, k: int, order: int, kind: str) -> int:
-    """A bound on the bytes of the representatives of [n]^k under a group
-    of the given order: 64 + 48k bytes per k-tuple of Python ints (its
-    code, digit columns, lists, ints and tuple), times _class_bound."""
-    return _class_bound(n, k, order, kind) * (64 + 48 * k)
-
-
-def _class_bound(n: int, k: int, order: int, kind: str) -> int:
-    """A bound on Burnside's class count (1/|G|) sum_g fix(g) for a group
-    of the given order on [n]^k.
-
-    POLYNOMIAL: the multiset count C(n+k-1, k).
-    LAYER: a k-tuple is fixed by g when all its entries are, so fix(g) =
-    f^k for g with f fixed points.  At most C(n, f) * D(n - f) elements of
-    S_n fix exactly f points (D the derangement numbers), and the bound
-    gives the order's elements the most fixed points those counts allow,
-    largest f first; for S_n it is the exact count.
-    """
-    if kind == POLYNOMIAL:
-        return math.comb(n + k - 1, k)
-    derangements = [1, 0]
-    for m in range(2, n + 1):
-        derangements.append((m - 1) * (derangements[-1] + derangements[-2]))
-    left, total = order, 0
-    for f in range(n, -1, -1):
-        count = min(left, math.comb(n, f) * derangements[n - f])
-        total += count * f**k
-        left -= count
-    return -(-total // order)
-
-
 def _check_orbits(G: PermGroup, k: int, kind: str) -> None:
-    """k >= 0, and the orbit kernel's estimated peak fits in memory: the
-    representatives plus, at 8 bytes each, for LAYER a code map per
-    generator and six working arrays per code; for POLYNOMIAL maps + 2k + 8
-    arrays per multiset, whose multiplicities stay exact in int64 while k M
-    < 2^63, M = k! / ((q+1)!^r q!^(n-r)) the largest, q, r = divmod(k, n)."""
+    """k >= 0, and the orbit kernel's estimated peak fits in memory.  At 8
+    bytes each, LAYER needs a code map per generator and six working
+    arrays per code.  POLYNOMIAL needs, per multiset, its row's k columns,
+    k more for the shorter rows while the rows are built or for the
+    generators' image digits and their sorted copies while they are
+    ranked, a map per generator and six working arrays.  Its rows'
+    multiplicities stay exact in int64 while k M < 2^63, M = k! /
+    ((q+1)!^r q!^(n-r)) the largest, q, r = divmod(k, n)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n, maps = G.n, len(G.generators)
@@ -177,10 +159,9 @@ def _check_orbits(G: PermGroup, k: int, kind: str) -> None:
         if k * largest >= 2**63:
             raise CapExceededError(f"the polynomial classes of [{n}]^{k} need k * M < 2^63, "
                                    f"M = {largest} the largest multinomial")
-    nbytes = 8 * math.comb(n + k - 1, k) * (maps + 2 * k + 8) \
+    nbytes = 8 * math.comb(n + k - 1, k) * (maps + 2 * k + 6) \
         if kind == POLYNOMIAL else 8 * n**k * (maps + 6)
-    _check_memory(nbytes + _representative_bytes(n, k, G.order, kind),
-                  f"the {kind} classes of [{n}]^{k}")
+    _check_memory(nbytes, f"the {kind} classes of [{n}]^{k}")
 
 
 def min_labels(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -208,15 +189,26 @@ def layer_classes(G: PermGroup, k: int) -> OrbitPartition:
     _check_orbits(G, k, LAYER)
     maps = [tuple_action_codes(g, G.n, k) for g in G.generators]
     labels, least = _classes(min_labels(G.n**k, maps))
-    labels.flags.writeable = False
-    # the digits of the least codes, most significant first
-    least = least[:, None] // G.n ** np.arange(k - 1, -1, -1, dtype=np.int64) % G.n
-    return OrbitPartition(G.n, k, LAYER, labels, len(least), tuple(map(tuple, least.tolist())))
+    labels.flags.writeable = least.flags.writeable = False
+    return OrbitPartition(G.n, k, LAYER, labels, least)
 
 
 def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
-    """The nondecreasing rows of [n]^k, one per multiset, in code order."""
-    return np.array(list(itertools.combinations_with_replacement(range(n), k)), dtype=np.int64)
+    """The nondecreasing rows of [n]^k, one per multiset, in code order.
+    They are built length by length: the rows of length j + 1 that start
+    with v are v followed by the C(n-v+j-1, j) rows of length j with no
+    digit below v, which are the last ones in code order."""
+    rows = np.empty((1, 0), dtype=np.int64)
+    for j in range(k):
+        longer = np.empty((math.comb(n + j, j + 1), j + 1), dtype=np.int64)
+        start = 0
+        for v in range(n):
+            tail = math.comb(n - v + j - 1, j)
+            longer[start:start + tail, 0] = v
+            longer[start:start + tail, 1:] = rows[len(rows) - tail:]
+            start += tail
+        rows = longer
+    return rows
 
 
 def _rank(n: int, digits: np.ndarray) -> np.ndarray:
@@ -245,9 +237,8 @@ def poly_classes(G: PermGroup, k: int) -> OrbitPartition:
     rows = _nondecreasing_rows(G.n, k)
     maps = [_rank(G.n, np.asarray(g.images, np.min_scalar_type(G.n))[rows]) for g in G.generators]
     labels, least = _classes(min_labels(rows.shape[0], maps))
-    rows.flags.writeable = labels.flags.writeable = False
-    return OrbitPartition(G.n, k, POLYNOMIAL, labels, len(least),
-                          tuple(map(tuple, rows[least].tolist())), rows)
+    rows.flags.writeable = labels.flags.writeable = least.flags.writeable = False
+    return OrbitPartition(G.n, k, POLYNOMIAL, labels, least, rows)
 
 
 def multiplicities(digits: np.ndarray) -> np.ndarray:
@@ -273,10 +264,15 @@ def equality_pattern_partition(n: int, k: int) -> OrbitPartition:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    _check_memory(8 * n**k + _representative_bytes(n, k, math.factorial(n), LAYER),
-                  f"the equality patterns of [{n}]^{k}")
+    # at most Bell(k) patterns, the set partitions of the k positions; each
+    # takes a key tuple of k ints (56 + 8k bytes), its dictionary slot,
+    # label and least code (152 bytes)
+    bell = [1]
+    for m in range(k):
+        bell.append(sum(math.comb(m, i) * b for i, b in enumerate(bell)))
+    _check_memory(8 * n**k + bell[k] * (208 + 8 * k), f"the equality patterns of [{n}]^{k}")
     class_id = np.empty(n**k, dtype=np.int64)
-    reps: list[tuple[int, ...]] = []
+    least: list[int] = []
     pattern_label: dict[tuple[int, ...], int] = {}
     for code, row in enumerate(itertools.product(range(n), repeat=k)):
         first_seen: dict[int, int] = {}
@@ -288,13 +284,13 @@ def equality_pattern_partition(n: int, k: int) -> OrbitPartition:
         key = tuple(pattern)
         label = pattern_label.get(key)
         if label is None:
-            label = len(reps)
+            label = len(least)
             pattern_label[key] = label
-            reps.append(row)
+            least.append(code)
         class_id[code] = label
-    class_id.flags.writeable = False
-    return OrbitPartition(n=n, k=k, kind=EQUALITY, labels=class_id,
-                          num_classes=len(reps), representatives=tuple(reps))
+    least_codes = np.array(least, dtype=np.int64)
+    class_id.flags.writeable = least_codes.flags.writeable = False
+    return OrbitPartition(n=n, k=k, kind=EQUALITY, labels=class_id, least=least_codes)
 
 
 def orbit_count_squared(G: PermGroup) -> int:

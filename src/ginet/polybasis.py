@@ -269,7 +269,7 @@ def basis_polynomials(G: PermGroup, k: int,
     terms: list[dict[Monomial, float]] = [{} for _ in range(partition.num_classes)]
     for c, exps, mult in zip(*_multiset_table(partition)):
         terms[c][exps] = float(mult)
-    return [BasisPolynomial(degree=k, class_index=c, representative=partition.representatives[c],
+    return [BasisPolynomial(degree=k, class_index=c, representative=partition.representative(c),
                             size=size, polynomial=Polynomial(G.n, t))
             for c, (t, size) in enumerate(zip(terms, partition.sizes().tolist()))]
 
@@ -329,9 +329,7 @@ def expand_in_basis(p: Polynomial, G: PermGroup,
         classes, exps, mult = _multiset_table(partition)
         coeff = [p_k.coefficient(e) for e in exps]
         alpha = np.zeros(partition.num_classes)
-        # class ids ascend with their first rows, the representatives
-        first = np.flatnonzero(np.diff(np.maximum.accumulate(classes), prepend=-1))
-        for c, row in enumerate(first.tolist()):
+        for c, row in enumerate(partition.least.tolist()):
             if coeff[row] != 0.0:
                 alpha[c] = coeffs[(k, c)] = coeff[row] / mult[row]
         if np.any(np.abs(alpha[classes] * mult - coeff) > 1e-12 * max(1.0, scale)):

@@ -565,9 +565,9 @@ def test_cap_is_read_by_the_tuple_commands(argv, c4_file, monkeypatch, capsys):
     import ginet.orbits
     argv = [a.format(group=c4_file) for a in argv]
     assert main(argv) == 0
-    monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", 1000)
+    monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", 100)
     assert main(argv) == 3
-    assert "more than the 1000 bytes of physical memory" in capsys.readouterr().err
+    assert "more than the 100 bytes of physical memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["symmetric", "alternating"])

@@ -321,6 +321,37 @@ def test_factors_layer_digit_lookup():
     assert out[2, 0, 0] == 30.0 and out[2, 0, 1] == 10.0  # (2,0) same class
 
 
+def loop_factor_coeffs(G, partition, class_index):
+    """The factor layer's coefficients, one linear class at a time: its
+    least tuple is an output tuple and an input digit, and a position
+    holds 1 where the input digit equals the output digit there."""
+    k = partition.k
+    space = layer_space(G, 1, k, 1, k)
+    coeffs = np.zeros((space.linear_partition.num_classes, 1, k))
+    for c in range(space.linear_partition.num_classes):
+        rep = space.linear_partition.representative(c)
+        out_tuple, in_digit = rep[:k], rep[k]
+        if partition.class_of(out_tuple) != class_index:
+            continue
+        for pos in range(k):
+            if in_digit == out_tuple[pos]:
+                coeffs[c, 0, pos] = 1.0
+    return coeffs
+
+
+@pytest.mark.parametrize("G", [cyclic(4), dihedral(6), symmetric(4), alternating(5)],
+                         ids=["c4", "d6", "s4", "a5"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_factors_layer_matches_class_loop(G, k):
+    P = poly_classes(G, k)
+    for c in range(P.num_classes):
+        L = monomial_factors_layer(G, P, c)
+        want = loop_factor_coeffs(G, P, c)
+        assert L.linear_coeffs.dtype == want.dtype
+        assert np.array_equal(L.linear_coeffs, want)
+        assert not L.bias_coeffs.any()
+
+
 # ------------------------------------------------------------ summation / lift / down
 
 def test_summation_values():

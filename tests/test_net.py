@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -752,8 +753,8 @@ def test_approximate_deterministic_reports():
     G = cyclic(4)
     p = Polynomial(4, {(1, 1, 0, 0): 1.0, (0, 1, 1, 0): 1.0,
                        (0, 0, 1, 1): 1.0, (1, 0, 0, 1): 1.0})
-    runs = [approximate_polynomial(G, p, 0.05, cfg=TrainConfig(seed=4),
-                                   eval_points=500)[1].to_dict()
+    runs = [asdict(approximate_polynomial(G, p, 0.05, cfg=TrainConfig(seed=4),
+                                          eval_points=500)[1])
             for _ in range(2)]
     assert runs[0] == runs[1]
 

@@ -122,7 +122,7 @@ def assert_matches_union_find(G, k):
         got = P.classes_of(np.arange(G.n**k))
         assert got.dtype == class_id.dtype
         assert np.array_equal(got, class_id)
-        assert P.representatives == reps
+        assert tuple(P.representative(c) for c in range(P.num_classes)) == reps
         assert P.num_classes == count
 
 
@@ -249,8 +249,8 @@ def test_a7_classes_at_the_vandermonde_degree():
     assert P.rows.shape == (math.comb(7 + k - 1, k), k)
     assert np.array_equal(orbits._rank(7, P.rows), np.arange(P.rows.shape[0]))
     assert sum(int(s) for s in P.sizes()) == 7**k
-    for c, rep in enumerate(P.representatives):
-        assert P.class_of(rep) == c
+    for c in range(P.num_classes):
+        assert P.class_of(P.representative(c)) == c
     # a generator's images of each row stay in the row's class
     for g in G.generators:
         images = np.asarray(g.images)[P.rows]
@@ -268,6 +268,29 @@ def test_class_of_allocates_no_tuple_array():
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_layer_classes_keep_no_tuple_per_class():
+    # 8^7 = 2 097 152 classes, one per code: their least codes and labels
+    # take 32 MiB, where one Python tuple per class took 576 MiB
+    tracemalloc.start()
+    try:
+        P = layer_classes(trivial(8), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.num_classes == 8**7
+    assert peak <= 100 * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", range(0, 7))
+def test_nondecreasing_rows_match_combinations(n, k):
+    rows = list(itertools.combinations_with_replacement(range(n), k))
+    want = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    got = orbits._nondecreasing_rows(n, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- tuple kernel oracle
@@ -301,7 +324,7 @@ def assert_matches_tuple_kernel(G, k):
     got = P.classes_of(np.arange(G.n**k))
     assert got.dtype == class_id.dtype
     assert np.array_equal(got, class_id)
-    assert P.representatives == reps
+    assert tuple(P.representative(c) for c in range(P.num_classes)) == reps
     assert P.num_classes == count
     for got, want in zip((P.rows, P.labels), tuple_multisets(class_id, G.n, k)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -371,7 +394,7 @@ def test_layer_classes_trivial():
 def test_layer_classes_k0():
     P = layer_classes(symmetric(3), 0)
     assert P.num_classes == 1
-    assert P.representatives == ((),)
+    assert P.representative(0) == ()
     assert P.class_of(()) == 0
 
 
@@ -381,17 +404,23 @@ def test_layer_classes_k0():
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_representatives_match_decode(G, k):
     """Oracle: each class's least code, decoded one at a time."""
-    for P in (layer_classes(G, k), poly_classes(G, k)):
+    for P in (layer_classes(G, k), poly_classes(G, k), equality_pattern_partition(G.n, k)):
         classes = P.classes_of(np.arange(G.n**k))
         least = [int(np.flatnonzero(classes == c)[0]) for c in range(P.num_classes)]
-        assert P.representatives == tuple(decode(code, G.n, k) for code in least)
-        assert all(type(d) is int for rep in P.representatives for d in rep)
+        reps = [P.representative(c) for c in range(P.num_classes)]
+        assert reps == [decode(code, G.n, k) for code in least]
+        assert all(type(d) is int for rep in reps for d in rep)
+        # least holds the least codes, or the rows of those codes
+        assert P.least.dtype == np.int64 and not P.least.flags.writeable
+        assert np.all(np.diff(P.least) > 0)
+        held = P.least if P.rows is None else P.rows[P.least] @ G.n ** np.arange(k - 1, -1, -1)
+        assert held.tolist() == least
 
 
 def test_class_ids_ordered_by_representative():
     P = layer_classes(dihedral(5), 2)
-    rep_codes = [encode(r, P.n) for r in P.representatives]
-    assert rep_codes == sorted(rep_codes)
+    rep_codes = [encode(P.representative(c), P.n) for c in range(P.num_classes)]
+    assert rep_codes == P.least.tolist() == sorted(rep_codes)
     for c, code in enumerate(rep_codes):
         assert P.class_of(code) == c
         assert int(P.members(c)[0]) == code
@@ -456,7 +485,8 @@ def test_poly_refines_layer():
 def test_class_of_representative_and_generator_images():
     G = dihedral(4)
     P = layer_classes(G, 2)
-    for c, rep in enumerate(P.representatives):
+    for c in range(P.num_classes):
+        rep = P.representative(c)
         assert P.class_of(rep) == c
         for g in G.generators:
             assert P.class_of(tuple(g(i) for i in rep)) == c
@@ -511,7 +541,7 @@ def test_equality_patterns_match_symmetric_layer_classes():
         E = equality_pattern_partition(n, k)
         L = layer_classes(symmetric(n), k)
         assert np.array_equal(E.labels, L.labels)
-        assert E.representatives == L.representatives
+        assert np.array_equal(E.least, L.least)
 
 
 def test_cap_errors(monkeypatch):
@@ -581,15 +611,12 @@ def test_memory_estimate_bounds_the_traced_peak(module, prepare, monkeypatch):
 
 
 def test_layer_class_bound_admits_s10_at_k8(monkeypatch):
-    # 10^8 codes take 6.4 GB of code maps and working arrays, and S10 has
-    # Bell(8) = 4140 classes at k = 8; a bound with every non-identity
-    # element fixing 8 points allowed 16 777 239 of them (7.5 GB).  Only
-    # the check runs, not the kernel.
+    # 10^8 codes take 6.4 GB of code maps and working arrays; 10^9 take
+    # ten times that.  Only the check runs, not the kernel.
     monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", 7 * 10**9)
     orbits._check_orbits(symmetric(10), 8, orbits.LAYER)
     with pytest.raises(CapExceededError):
         orbits._check_orbits(symmetric(10), 9, orbits.LAYER)
-    assert orbits._class_bound(10, 8, symmetric(10).order, orbits.LAYER) == 4140
 
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 4), (6, 3)])
@@ -599,4 +626,3 @@ def test_layer_class_bound_is_exact_for_symmetric(n, k):
     fixed = [sum(g(i) == i for i in range(n)) for g in G.elements]
     burnside = sum(f**k for f in fixed) // G.order
     assert burnside == layer_classes(G, k).num_classes
-    assert orbits._class_bound(n, k, G.order, orbits.LAYER) == burnside

@@ -399,7 +399,7 @@ def tuple_basis_polynomials(G, k, partition=None):
             key = tuple(exps)
             terms[key] = terms.get(key, 0.0) + 1.0
         out.append(BasisPolynomial(
-            degree=k, class_index=c, representative=partition.representatives[c],
+            degree=k, class_index=c, representative=decode(int(codes[0]), n, k),
             size=len(codes), polynomial=Polynomial(n, terms)))
     return out
 
