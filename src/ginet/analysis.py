@@ -2,9 +2,9 @@
 
 These check, at desk scale, the facts the library is built around: the
 alternating/symmetric coincidence of layer spaces up to total order
-n-2, the Vandermonde obstruction that follows from it, k-transitivity,
-2-closure, the strict orbit-count condition over strict supergroups,
-and the bump-average separating function.
+n-2, the Vandermonde obstruction that follows from it, 2-closure, the
+strict orbit-count condition over strict supergroups, and the
+bump-average separating function.
 
 The Vandermonde check runs many random alternating-invariant networks
 on two points.  It holds them as one stack of coefficient arrays, with
@@ -84,25 +84,6 @@ def an_sn_layer_equality(n: int, max_total_order: int) -> LayerEqualityReport:
         if t <= n - 2 and not identical:
             holds = False
     return LayerEqualityReport(n=n, rows=tuple(rows), holds_in_range=holds)
-
-
-def is_k_transitive(G: PermGroup, k: int) -> bool:
-    """True iff G moves any distinct k-tuple to any other.
-
-    Checked on the layer partition: the all-distinct tuples must form a
-    single class.
-    """
-    if k > G.n:
-        raise ValueError(f"k={k} exceeds n={G.n}")
-    if k == 0:
-        return True
-    P = layer_classes(G, k)
-    ids = set()
-    for t in itertools.permutations(range(G.n), k):
-        ids.add(P.class_of(t))
-        if len(ids) > 1:
-            return False
-    return len(ids) == 1
 
 
 @dataclass(frozen=True)

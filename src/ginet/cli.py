@@ -22,11 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import analysis, net, orbits, polybasis
 from .equivlayers import layer_space
 from .permgroup import GroupTooLargeError, PermGroup, Permutation, named_group
 
-VERSION = "0.1.0"
 _CSV_CHUNK = 1 << 14  # rows formatted per write of a CSV table
 
 
@@ -328,6 +328,7 @@ def _cmd_verify_vandermonde(args) -> int:
     lines = [f"trials: {rep.trials}",
              f"max_deviation: {rep.max_deviation:.3e}",
              f"all_equal: {str(rep.all_equal).lower()}",
+             f"guaranteed: {str(rep.guaranteed).lower()}",
              f"vandermonde_gap: {rep.vandermonde_gap:g}"]
     _emit(args, _config_dict(args, ["n", "max_order", "seed", "trials"]),
           results, {"trials": rep.trials}, lines)

@@ -7,10 +7,11 @@ indices first) and its constant part is constant on the layer classes
 of [n]^l.  Layers are therefore stored in weight-sharing form: one
 coefficient per (class, input feature, output feature), plus one bias
 coefficient per (bias class, output feature).  Application streams over
-the class-id table in row chunks; the dense weight tensor is only built
-by materialize_dense.  apply_stacked applies many layers of one space
-at once, each to its own inputs, with one matrix product per layer and
-row chunk; a single layer's apply_flat is its one-layer case.
+the class-id table in row chunks, and the dense weight tensor is never
+built here (oracles.materialize_dense builds it for the tests).
+apply_stacked applies many layers of one space at once, each to its own
+inputs, with one matrix product per layer and row chunk; a single
+layer's apply_flat is its one-layer case.
 
 Feature axes always come last.  Order 0 means an invariant output: a
 plain feature vector.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import OrbitPartition, _check_memory, layer_classes
+from .orbits import OrbitPartition, layer_classes
 from .permgroup import PermGroup
 from .rng import SplitMix64
 
@@ -106,24 +107,6 @@ class EquivariantLayer:
         flat = X.reshape(1, n**sp.k, sp.a)
         out = self.apply_flat(flat)
         return out.reshape((n,) * sp.l + (sp.b,))
-
-    def materialize_dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (n^l * b) x (n^k * a) matrix and bias vector of length n^l * b.
-
-        Flattening is tuple-major, features last, matching apply on
-        reshaped inputs.  Each entry costs 16 bytes at the peak: the
-        gather and its transposed copy.
-        """
-        sp = self.space
-        n = sp.n
-        rows_in, rows_out = n**sp.k, n**sp.l
-        _check_memory(16 * rows_out * sp.b * (rows_in * sp.a + 1), "the dense layer")
-        cid = sp.linear_partition.labels.reshape(rows_out, rows_in)
-        dense = self.linear_coeffs[cid]                     # (out, in, a, b)
-        matrix = dense.transpose(0, 3, 1, 2).reshape(rows_out * sp.b, rows_in * sp.a)
-        bias = self.bias_coeffs[sp.bias_partition.labels].reshape(-1)
-        return matrix, bias
-
 
 def apply_stacked(space: LayerSpace, linear: np.ndarray, bias: np.ndarray,
                   X: np.ndarray) -> np.ndarray:
@@ -223,22 +206,3 @@ def down_tensor(Y: np.ndarray, k: int, d: int, n: int) -> np.ndarray:
     axes = tuple(range(k, d))
     out = Y.sum(axis=axes) if axes else Y.copy()
     return out * float(n) ** (k - d)
-
-
-def concat_layers(L1: EquivariantLayer, L2: EquivariantLayer) -> EquivariantLayer:
-    """Feature-wise block-diagonal combination: widths add, no cross terms."""
-    s1, s2 = L1.space, L2.space
-    if (s1.group, s1.k, s1.l) != (s2.group, s2.k, s2.l):
-        raise ValueError("layers must share group and tensor orders")
-    space = LayerSpace(group=s1.group, k=s1.k, l=s1.l, a=s1.a + s2.a, b=s1.b + s2.b,
-                       linear_partition=s1.linear_partition,
-                       bias_partition=s1.bias_partition)
-    C = space.linear_partition.num_classes
-    Cb = space.bias_partition.num_classes
-    linear = np.zeros((C, space.a, space.b))
-    linear[:, :s1.a, :s1.b] = L1.linear_coeffs
-    linear[:, s1.a:, s1.b:] = L2.linear_coeffs
-    bias = np.zeros((Cb, space.b))
-    bias[:, :s1.b] = L1.bias_coeffs
-    bias[:, s1.b:] = L2.bias_coeffs
-    return EquivariantLayer(space, linear, bias)

@@ -604,22 +604,6 @@ class ExactProduct:
         return {"kind": "exact", "k": self.k, "max_error": 0.0}
 
 
-class IdentityProduct:
-    """k=1 gadget: the exact one-layer identity network (one input, so
-    nothing to sort)."""
-
-    def __init__(self):
-        self.k = 1
-        self.max_error = 0.0
-        self.mlp = MLP([np.array([[1.0]])], [np.zeros(1)], "sigmoid")
-
-    def __call__(self, Y: np.ndarray) -> np.ndarray:
-        return self.mlp.forward(Y)[:, 0]
-
-    def describe(self) -> dict:
-        return {"kind": "identity", "k": 1, "max_error": 0.0}
-
-
 class MLPProduct:
     """A trained k-input multiplication MLP, valid on [-box, box]^k.  It
     sees each row value-sorted, the region it was trained on."""
@@ -778,10 +762,11 @@ def train_product_mlp(k: int, c: float, target: float,
     """Produce a gadget computing the k-way product on [-c,c]^k to the
     requested max-error target; raises TargetNotReachedError otherwise.
 
-    k=1 is the exact identity.  k=2,3 train directly (on the normalized
-    box, then fold the scaling into the first/last layers).  Larger k
-    composes trained two-input gadgets in a balanced tree, with the
-    error budget split evenly across the k-1 multiply nodes.
+    k=1 is ExactProduct(1), the input itself.  k=2,3 train directly (on
+    the normalized box, then fold the scaling into the first/last
+    layers).  Larger k composes trained two-input gadgets in a balanced
+    tree, with the error budget split evenly across the k-1 multiply
+    nodes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -789,7 +774,7 @@ def train_product_mlp(k: int, c: float, target: float,
         raise ValueError("c and target must be positive")
     cfg = cfg or TrainConfig()
     if k == 1:
-        return IdentityProduct()
+        return ExactProduct(1)
     rng = SplitMix64(cfg.seed).spawn(f"product-{k}")
     if k <= 3:
         core_target = target / c**k
@@ -1023,6 +1008,11 @@ class MLPStage:
         return self.mlp.forward(V)
 
 
+# points per forward call of forward_many; approximate_polynomial's memory
+# check sizes the class sums of one such chunk
+FORWARD_CHUNK = 2048
+
+
 class GInvariantNetwork:
     """Stage pipeline: tensor stages, one invariant stage, MLP stages."""
 
@@ -1055,7 +1045,7 @@ class GInvariantNetwork:
             out = out[:, 0]
         return float(out[0]) if single else out
 
-    def forward_many(self, X: np.ndarray, chunk: int = 2048) -> np.ndarray:
+    def forward_many(self, X: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         X = np.asarray(X, dtype=np.float64)
@@ -1064,16 +1054,6 @@ class GInvariantNetwork:
         parts = [np.atleast_1d(self.forward(X[s:s + chunk]))
                  for s in range(0, max(1, X.shape[0]), chunk)]
         return np.concatenate(parts)
-
-    def max_invariance_deviation(self, rng: SplitMix64, trials: int = 20,
-                                 lo: float = -1.0, hi: float = 1.0) -> float:
-        worst = 0.0
-        for _ in range(trials):
-            x = rng.uniforms(lo, hi, self.n)
-            base = self.forward(x)
-            for g in self.group.generators:
-                worst = max(worst, abs(self.forward(g.apply_vector(x)) - base))
-        return worst
 
 
 # ----------------------------------------------------------- constructions
@@ -1196,7 +1176,7 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
 
     # fail fast, before any gadget trains: the class sums of one
     # forward_many chunk must fit in memory
-    chunk = min(eval_points, 2048)
+    chunk = min(eval_points, FORWARD_CHUNK)
     counts = {k: np.bincount(partitions[k].labels).tolist() for k in degrees}
     sizes = [(k, counts[k][ci]) for k, ci in coeffs if k]
     _check_memory(_class_sum_bytes(sizes, chunk, exact_mul),

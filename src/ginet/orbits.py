@@ -27,7 +27,6 @@ physical memory.  Nothing sets this limit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ from .permgroup import PermGroup
 
 LAYER = "layer"
 POLYNOMIAL = "polynomial"
-EQUALITY = "equality"
 
 # physical memory in bytes, or None where sysconf does not report it
 try:
@@ -114,14 +112,6 @@ class OrbitPartition:
         if self.rows is not None:
             code = _rank(self.n, np.array([t], dtype=np.int64))[0]
         return int(self.labels[code])
-
-    def members(self, class_index: int) -> np.ndarray:
-        """Codes of all tuples in the class, ascending (3 int64s per code at
-        the peak, 2k + 6 for a polynomial partition)."""
-        n, k = self.n, self.k
-        _check_memory(8 * n**k * (2 * k + 6 if self.rows is not None else 3),
-                      f"the members of a {self.kind} class of [{n}]^{k}")
-        return np.flatnonzero(self.classes_of(np.arange(n**k)) == class_index)
 
     def sizes(self) -> np.ndarray:
         """Tuples per class, as Python ints once n^k >= 2^63 (S5 has such a class at k = 29)."""
@@ -252,45 +242,6 @@ def multiplicities(digits: np.ndarray) -> np.ndarray:
         run = np.where(digits[:, j] == digits[:, j - 1], run + 1, 1)
         mult = mult * (j + 1) // run
     return mult
-
-
-def equality_pattern_partition(n: int, k: int) -> OrbitPartition:
-    """Tuples identified iff their coordinates share the same equality pattern.
-
-    (i_a = i_b <-> j_a = j_b for all positions a,b.)  This is exactly
-    the S_n layer partition for every n, with one class per set
-    partition of the k positions into at most n blocks.  It walks the
-    tuples in Python, independently of the code maps, as a reference.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    # at most Bell(k) patterns, the set partitions of the k positions; each
-    # takes a key tuple of k ints (56 + 8k bytes), its dictionary slot,
-    # label and least code (152 bytes)
-    bell = [1]
-    for m in range(k):
-        bell.append(sum(math.comb(m, i) * b for i, b in enumerate(bell)))
-    _check_memory(8 * n**k + bell[k] * (208 + 8 * k), f"the equality patterns of [{n}]^{k}")
-    class_id = np.empty(n**k, dtype=np.int64)
-    least: list[int] = []
-    pattern_label: dict[tuple[int, ...], int] = {}
-    for code, row in enumerate(itertools.product(range(n), repeat=k)):
-        first_seen: dict[int, int] = {}
-        pattern = []
-        for d in row:
-            if d not in first_seen:
-                first_seen[d] = len(first_seen)
-            pattern.append(first_seen[d])
-        key = tuple(pattern)
-        label = pattern_label.get(key)
-        if label is None:
-            label = len(least)
-            pattern_label[key] = label
-            least.append(code)
-        class_id[code] = label
-    least_codes = np.array(least, dtype=np.int64)
-    class_id.flags.writeable = least_codes.flags.writeable = False
-    return OrbitPartition(n=n, k=k, kind=EQUALITY, labels=class_id, least=least_codes)
 
 
 def orbit_count_squared(G: PermGroup) -> int:

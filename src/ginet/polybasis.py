@@ -1,5 +1,5 @@
-"""Invariant polynomials: sparse polynomials, coefficient tensors, and
-the class-indexed basis of homogeneous invariants.
+"""Invariant polynomials: sparse polynomials and the class-indexed basis
+of homogeneous invariants.
 
 A homogeneous degree-k polynomial is p(x) = sum_t W_t x_{t_1}...x_{t_k}
 over index tuples t, with W its coefficient tensor; choosing W symmetric
@@ -20,20 +20,19 @@ each generator and never enumerates the group or samples points.  The
 Reynolds average over all of G stays as the reference those checks are
 tested against.
 
-Polynomials are stored sparsely, keyed by exponent vector; coefficient
-tensors are dense numpy arrays (desk-scale n^k).
+Polynomials are stored sparsely, keyed by exponent vector; only the
+tests' oracles build the dense tensors W (oracles.coeff_tensor).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .orbits import OrbitPartition, decode, multiplicities, poly_classes
+from .orbits import OrbitPartition, multiplicities, poly_classes
 from .permgroup import PermGroup, Permutation
 
 INVARIANCE_TOL = 1e-9
@@ -129,16 +128,23 @@ class Polynomial:
         return total
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of X, shape (B, n)."""
+        """Evaluate at every row of X, shape (B, n).  Each power X[:, i] ** e
+        is computed once and shared by the terms that hold it; a term is
+        its coefficient times its powers, left to right, and the terms are
+        summed in order."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"points have shape {X.shape}, expected (B, {self.n})")
+        powers: dict[tuple[int, int], np.ndarray] = {}
         out = np.zeros(X.shape[0])
         for exps, coeff in self.terms.items():
             term = np.full(X.shape[0], coeff)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * X[:, i] ** e
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = X[:, i] ** e
+                    term *= power
             out += term
         return out
 
@@ -164,81 +170,12 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts[:6]) + (" + ..." if len(parts) > 6 else "") + ")"
 
 
-@dataclass(frozen=True)
-class CoeffTensor:
-    """Dense coefficient tensor of a homogeneous degree-k polynomial."""
-
-    n: int
-    k: int
-    values: np.ndarray  # shape (n,)*k
-
-    def __post_init__(self):
-        expected = (self.n,) * self.k
-        if self.values.shape != expected:
-            raise ValueError(f"tensor shape {self.values.shape} != {expected}")
-
-
 def homogeneous_decompose(p: Polynomial) -> dict[int, Polynomial]:
     """Bucket terms by degree; the sum of the parts reproduces p."""
     buckets: dict[int, dict[Monomial, float]] = {}
     for exps, coeff in p.terms.items():
         buckets.setdefault(sum(exps), {})[exps] = coeff
     return {d: Polynomial(p.n, t) for d, t in sorted(buckets.items())}
-
-
-def coeff_tensor(p_k: Polynomial, k: int | None = None) -> CoeffTensor:
-    """Unique symmetric W with p_k(x) = sum_t W_t x_{t1}...x_{tk}.
-
-    Each monomial's coefficient is split equally among the distinct
-    orderings of its index multiset.
-    """
-    if k is None:
-        k = p_k.degree
-    n = p_k.n
-    values = np.zeros((n,) * k)
-    for exps, coeff in p_k.terms.items():
-        if sum(exps) != k:
-            raise ValueError(f"term {exps} has degree {sum(exps)}, expected {k}")
-        indices = [i for i, e in enumerate(exps) for _ in range(e)]
-        orderings = set(itertools.permutations(indices))
-        share = coeff / len(orderings)
-        for t in orderings:
-            values[t] += share
-    return CoeffTensor(n=n, k=k, values=values)
-
-
-def polynomial_from_tensor(W: CoeffTensor) -> Polynomial:
-    """Reconstruct sum_t W_t x_{t1}...x_{tk} as a sparse polynomial."""
-    terms: dict[Monomial, float] = {}
-    flat = W.values.reshape(-1)
-    for code in np.flatnonzero(flat):
-        digits = decode(int(code), W.n, W.k)
-        exps = [0] * W.n
-        for d in digits:
-            exps[d] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0.0) + float(flat[code])
-    return Polynomial(W.n, terms)
-
-
-def tensor_evaluate(W: CoeffTensor, x: Sequence[float]) -> float:
-    """Contract W against x on every axis: the polynomial's value."""
-    x = np.asarray(x, dtype=np.float64)
-    acc = W.values
-    for _ in range(W.k):
-        acc = np.tensordot(acc, x, axes=([acc.ndim - 1], [0]))
-    return float(acc)
-
-
-def check_fixed_point(W: CoeffTensor, G: PermGroup, tol: float = 0.0) -> bool:
-    """True iff the tuple action of every generator fixes W within tol."""
-    if W.n != G.n:
-        raise ValueError(f"tensor over n={W.n} checked against group on n={G.n}")
-    for g in G.generators:
-        moved = g.apply_tensor(W.values, k=W.k)
-        if np.max(np.abs(moved - W.values), initial=0.0) > tol:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -272,15 +209,6 @@ def basis_polynomials(G: PermGroup, k: int,
     return [BasisPolynomial(degree=k, class_index=c, representative=partition.representative(c),
                             size=size, polynomial=Polynomial(G.n, t))
             for c, (t, size) in enumerate(zip(terms, partition.sizes().tolist()))]
-
-
-def indicator_tensor(partition: OrbitPartition, class_index: int) -> CoeffTensor:
-    """0/1 tensor supported on one polynomial class; symmetric by construction."""
-    if partition.kind != "polynomial":
-        raise ValueError("indicator tensors are defined for polynomial classes")
-    values = np.zeros((partition.n,) * partition.k)
-    values.flat[partition.members(class_index)] = 1.0
-    return CoeffTensor(n=partition.n, k=partition.k, values=values)
 
 
 def reynolds(p: Polynomial, G: PermGroup) -> Polynomial:

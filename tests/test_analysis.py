@@ -12,7 +12,6 @@ from ginet.analysis import (
     _alternating_outputs,
     an_sn_layer_equality,
     enumerate_supergroups,
-    is_k_transitive,
     is_two_closed,
     necessary_condition_check,
     separating_function,
@@ -28,6 +27,7 @@ from ginet.net import (
     MLPStage,
     SumStage,
 )
+from ginet.oracles import is_k_transitive, max_invariance_deviation
 from ginet.orbits import layer_classes, orbit_count_squared
 from ginet.permgroup import (
     PermGroup,
@@ -230,7 +230,7 @@ def test_alternating_layer_spaces_compute_each_partition_once(n, order, monkeypa
 def test_random_alternating_net_is_alternating_invariant():
     rng = SplitMix64(3)
     net = _random_alternating_network(_alternating_layer_spaces(4, 1), rng)
-    assert net.max_invariance_deviation(SplitMix64(4), trials=20) <= 1e-9
+    assert max_invariance_deviation(net, SplitMix64(4), trials=20) <= 1e-9
 
 
 @pytest.mark.parametrize("n, max_order", [(4, 1), (7, 2), (6, 2), (5, 2)])

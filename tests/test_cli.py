@@ -307,6 +307,7 @@ def test_verify_vandermonde_exit0(capsys):
                  "--trials", "10"]) == 0
     out = capsys.readouterr().out
     assert "all_equal: true" in out
+    assert "guaranteed: true" in out
     assert "vandermonde_gap: 12" in out
 
 
@@ -316,6 +317,9 @@ def test_verify_vandermonde_separates_beyond_range(capsys):
     code = main(["verify", "vandermonde", "--n", "4", "--max-order", "2",
                  "--trials", "10"])
     assert code == 1
+    out = capsys.readouterr().out
+    assert "all_equal: false" in out
+    assert "guaranteed: false" in out
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

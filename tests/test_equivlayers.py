@@ -7,7 +7,6 @@ from ginet import equivlayers, orbits
 from ginet.equivlayers import (
     EquivariantLayer,
     apply_stacked,
-    concat_layers,
     down_tensor,
     layer_space,
     lift_tensor,
@@ -17,7 +16,7 @@ from ginet.equivlayers import (
 )
 from ginet.orbits import CapExceededError, poly_classes
 from ginet.permgroup import alternating, cyclic, dihedral, symmetric, trivial
-from ginet.polybasis import indicator_tensor
+from ginet.oracles import concat_layers, indicator_tensor, materialize_dense, members
 from ginet.rng import SplitMix64
 
 
@@ -155,7 +154,7 @@ def test_materialize_dense_identity():
     coeffs = np.zeros((2, 1, 1))
     coeffs[0, 0, 0] = 1.0
     L = EquivariantLayer(sp, coeffs, np.zeros((1, 1)))
-    M, bias = L.materialize_dense()
+    M, bias = materialize_dense(L)
     assert np.array_equal(M, np.eye(4))
     assert np.array_equal(bias, np.zeros(4))
 
@@ -164,7 +163,7 @@ def test_materialize_dense_agrees_with_apply():
     rng = SplitMix64(5)
     sp = layer_space(cyclic(3), 2, 2, 1, 1)
     L = random_layer(sp, rng)
-    M, bias = L.materialize_dense()
+    M, bias = materialize_dense(L)
     for _ in range(50):
         X = rng.uniforms(-1, 1, 3, 3, 1)
         via_matrix = M @ X.reshape(-1) + bias
@@ -188,7 +187,7 @@ def test_apply_stacked_matches_dense(T, budget, monkeypatch):
                             np.stack([L.bias_coeffs for L in layers]), X)
         assert out.shape == (T, 4, G.n**l, b)
         for t, L in enumerate(layers):
-            M, bias = L.materialize_dense()
+            M, bias = materialize_dense(L)
             want = X[t].reshape(4, -1) @ M.T + bias
             assert np.allclose(out[t].reshape(4, -1), want, rtol=0, atol=1e-13)
         if T == 1:
@@ -233,7 +232,7 @@ def test_materialize_dense_row_pattern():
     rng = SplitMix64(6)
     sp = layer_space(cyclic(4), 1, 1, 1, 1)
     L = random_layer(sp, rng)
-    M, _ = L.materialize_dense()
+    M, _ = materialize_dense(L)
     cid = sp.linear_partition.labels.reshape(4, 4)
     for r in range(4):
         for c in range(4):
@@ -246,9 +245,9 @@ def test_materialize_dense_cap(monkeypatch):
     monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", 4351)
     with pytest.raises(CapExceededError, match="the dense layer would take an estimated "
                                                "4352 bytes, more than the 4351 bytes"):
-        L.materialize_dense()
+        materialize_dense(L)
     monkeypatch.setattr(orbits, "_PHYSICAL_MEMORY", 4352)
-    assert L.materialize_dense()[0].shape == (16, 16)
+    assert materialize_dense(L)[0].shape == (16, 16)
 
 
 # ------------------------------------------------------------ monomial factor layers
@@ -361,7 +360,7 @@ def test_summation_values():
     for g in symmetric(4):
         assert np.sum(g.apply_tensor(Z, k=2)) == pytest.approx(np.sum(Z))
     P = poly_classes(cyclic(4), 2)
-    assert np.sum(indicator_tensor(P, 1).values) == len(P.members(1))
+    assert np.sum(indicator_tensor(P, 1).values) == len(members(P, 1))
 
 
 def test_down_of_lift_is_identity():

@@ -21,7 +21,6 @@ from ginet.net import (
     ClassSumStage,
     ExactProduct,
     GInvariantNetwork,
-    IdentityProduct,
     MLP,
     MLPProduct,
     MLPStage,
@@ -39,6 +38,7 @@ from ginet.net import (
     train_product_mlp,
     _ROW_BLOCK,
 )
+from ginet.oracles import max_invariance_deviation, members
 from ginet.orbits import CapExceededError, layer_classes, poly_classes
 from ginet.permgroup import PermGroup, Permutation, cyclic, dihedral, symmetric
 from ginet.polybasis import Polynomial, basis_polynomials, vandermonde
@@ -122,7 +122,8 @@ def one_call_forward(m, Y):
 
 
 def _oracle_nets():
-    nets = [train_product_mlp(k, 1.0, 0.1, TrainConfig(seed=k)).mlp for k in (1, 2, 3)]
+    nets = [MLP([np.array([[1.0]])], [np.zeros(1)], "sigmoid")]
+    nets += [train_product_mlp(k, 1.0, 0.1, TrainConfig(seed=k)).mlp for k in (2, 3)]
     assert [len(m.weights) for m in nets] == [1, 3, 3]
     rng = SplitMix64(40)
     nets.append(with_random_biases(mlp_init([3, 16, 8, 2], "relu", rng, zero_last=False), rng))
@@ -470,10 +471,12 @@ def test_grad_check_relu_kink_flagged():
 
 def test_identity_product_exact():
     g = train_product_mlp(1, 1.0, 1e-12)
-    assert isinstance(g, IdentityProduct)
+    assert isinstance(g, ExactProduct) and g.k == 1
     assert g.max_error == 0.0
-    Y = np.array([[0.3], [-1.1]])
-    assert np.array_equal(g(Y), np.array([0.3, -1.1]))
+    assert g.describe() == {"kind": "exact", "k": 1, "max_error": 0.0}
+    Y = np.array([[0.3], [-1.1], [-0.0]])
+    got = g(Y)
+    assert np.array_equal(got, Y[:, 0]) and np.array_equal(np.signbit(got), np.signbit(Y[:, 0]))
 
 
 def test_exact_product():
@@ -575,7 +578,7 @@ def test_term_network_invariance():
     P = poly_classes(G, 2)
     net = build_term_network(G, P, 1, ExactProduct(2))
     rng = SplitMix64(11)
-    assert net.max_invariance_deviation(rng, trials=25) <= 1e-12
+    assert max_invariance_deviation(net, rng, trials=25) <= 1e-12
 
 
 def test_unified_single_term_identity():
@@ -663,7 +666,7 @@ def test_approximate_polynomial_exact_gadgets():
     assert report.achieved_max_error <= 1e-10
     assert report.alpha_l1 == pytest.approx(0.5)
     rng = SplitMix64(16)
-    assert net.max_invariance_deviation(rng, trials=20) <= 1e-9
+    assert max_invariance_deviation(net, rng, trials=20) <= 1e-9
 
 
 @pytest.mark.parametrize("epsilon, box", [
@@ -746,7 +749,7 @@ def test_approximate_trained_budget_and_invariance():
         assert term["error_budget"] == pytest.approx(
             abs(term["alpha"]) * 3**term["degree"] * term["training_error"])
     rng = SplitMix64(18)
-    assert net.max_invariance_deviation(rng, trials=50) <= 1e-9
+    assert max_invariance_deviation(net, rng, trials=50) <= 1e-9
 
 
 def test_approximate_deterministic_reports():
@@ -771,7 +774,7 @@ def test_approximate_exact_three_orders_mixed():
     assert net.order == 3
     assert report.achieved_max_error <= 1e-10
     rng = SplitMix64(23)
-    assert net.max_invariance_deviation(rng, trials=30) <= 1e-9
+    assert max_invariance_deviation(net, rng, trials=30) <= 1e-9
     X = rng.uniforms(-1, 1, 50, 3)
     assert np.allclose(net.forward_many(X), p.evaluate_many(X), atol=1e-10)
 
@@ -1029,7 +1032,7 @@ def _tuple_class_sums(terms, T):
     out = np.empty((B, len(terms)))
     for j, (P, ci, gadget) in enumerate(terms):
         n, k = P.n, P.k
-        codes = P.members(ci)
+        codes = members(P, ci)
         digits = np.vstack([codes[:, None] // n ** np.arange(k - 1, -1, -1) % n,
                             np.full((1, k), n)])
         values = np.asarray(gadget(X[:, digits].reshape(-1, k))).reshape(B, len(digits))
@@ -1055,8 +1058,7 @@ def _gather_gadgets():
     pair = _random_product_net(2, 70)
     tree = TreeProduct(4, [[("pair", pair), ("pair", _random_product_net(2, 72))],
                            [("pair", pair)]], 1.0, 0.0)
-    return {"mlp-2": pair, "mlp-3": _random_product_net(3, 74),
-            "identity": IdentityProduct(), "tree-4": tree,
+    return {"mlp-2": pair, "mlp-3": _random_product_net(3, 74), "tree-4": tree,
             **{f"exact-{k}": ExactProduct(k) for k in (1, 2, 3, 4)}}
 
 
@@ -1088,8 +1090,8 @@ def _gather_classes(k):
 
 
 @pytest.mark.parametrize("B", [0, 1, 23, 128, 2048, 2049])
-@pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "identity", "tree-4",
-                                  "exact-1", "exact-2", "exact-3", "exact-4"])
+@pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "tree-4", "exact-1", "exact-2",
+                                  "exact-3", "exact-4"])
 def test_class_rows_match_materialised_rows(name, B):
     gadget = _gather_gadgets()[name]
     classes = _gather_classes(gadget.k)
@@ -1111,8 +1113,8 @@ _TUPLE_ORACLE_GROUPS = {1: (cyclic(5), dihedral(6), symmetric(4)),
 
 
 @pytest.mark.parametrize("B", [0, 1, 2048, 2049])
-@pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "identity", "tree-4",
-                                  "exact-1", "exact-2", "exact-3", "exact-4"])
+@pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "tree-4", "exact-1", "exact-2",
+                                  "exact-3", "exact-4"])
 def test_multiset_class_sums_match_tuple_sums_named_groups(name, B):
     gadget = _gather_gadgets()[name]
     for G in _TUPLE_ORACLE_GROUPS[gadget.k]:
@@ -1122,7 +1124,7 @@ def test_multiset_class_sums_match_tuple_sums_named_groups(name, B):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_groups(), st.sampled_from(["mlp-2", "mlp-3", "identity", "tree-4",
+@given(_groups(), st.sampled_from(["mlp-2", "mlp-3", "tree-4",
                                    "exact-1", "exact-2", "exact-3", "exact-4"]),
        st.sampled_from([0, 1, 2048, 2049]), st.integers(0, 2**32 - 1))
 def test_multiset_class_sums_match_tuple_sums_random_groups(G, name, B, seed):
@@ -1138,7 +1140,7 @@ def _trained_gadgets():
             for k in (2, 3, 4)}
 
 
-@pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "identity", "tree-4", "exact-1",
+@pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "tree-4", "exact-1",
                                   "exact-2", "exact-3", "exact-4", "exact-6",
                                   "trained-2", "trained-3", "trained-4"])
 def test_gadgets_same_bits_for_every_column_order(name):
@@ -1263,7 +1265,7 @@ def test_forward_many_memory_s7():
             p = p + b.polynomial.scale(rng.uniform(-0.3, 0.3))
     net, report = approximate_polynomial(G, p, 0.1, eval_points=0)
     assert [t["degree"] for t in report.terms] == [1, 2, 2]
-    assert {t["gadget"]["kind"] for t in report.terms} == {"identity", "mlp"}
+    assert {t["gadget"]["kind"] for t in report.terms} == {"exact", "mlp"}
     X = SplitMix64(43).uniforms(-1, 1, 2048, 7)
     tracemalloc.start()
     try:
@@ -1288,7 +1290,7 @@ def test_approximate_exact_more_groups():
         net, report = approximate_polynomial(G, p, 0.05, exact_mul=True,
                                              eval_points=300)
         assert report.achieved_max_error <= 1e-10
-        assert net.max_invariance_deviation(rng, trials=20) <= 1e-9
+        assert max_invariance_deviation(net, rng, trials=20) <= 1e-9
 
 
 def test_grad_check_relu_away_from_kinks():

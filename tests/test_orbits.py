@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginet import equivlayers, orbits
+from ginet import orbits, oracles
 from ginet.orbits import (
     CapExceededError,
     decode,
     encode,
-    equality_pattern_partition,
     layer_classes,
     min_labels,
     multiplicities,
@@ -21,6 +20,7 @@ from ginet.orbits import (
     tuple_action_codes,
 )
 from ginet.equivlayers import layer_space, random_layer
+from ginet.oracles import equality_pattern_partition, materialize_dense, members
 from ginet.permgroup import (
     PermGroup,
     Permutation,
@@ -423,7 +423,7 @@ def test_class_ids_ordered_by_representative():
     assert rep_codes == P.least.tolist() == sorted(rep_codes)
     for c, code in enumerate(rep_codes):
         assert P.class_of(code) == c
-        assert int(P.members(c)[0]) == code
+        assert int(members(P, c)[0]) == code
 
 
 def test_generator_sufficiency():
@@ -572,12 +572,12 @@ def test_negative_k_and_bad_caps_rejected(call):
 
 
 def _dense(G, k, l, a, b):
-    return random_layer(layer_space(G, k, l, a, b), SplitMix64(0)).materialize_dense
+    return partial(materialize_dense, random_layer(layer_space(G, k, l, a, b), SplitMix64(0)))
 
 
 def _members(G, k):
     """All tuple classes of a polynomial partition, read for one class."""
-    return partial(poly_classes(G, k).members, 0)
+    return partial(members, poly_classes(G, k), 0)
 
 
 @pytest.mark.parametrize("module, prepare", [
@@ -585,11 +585,11 @@ def _members(G, k):
     (orbits, lambda: partial(poly_classes, dihedral(8), 6)),
     (orbits, lambda: partial(poly_classes, alternating(5), 9)),
     (orbits, lambda: partial(poly_classes, symmetric(12), 6)),
-    (orbits, lambda: _members(dihedral(8), 6)),
+    (oracles, lambda: _members(dihedral(8), 6)),
     (orbits, lambda: partial(layer_classes, cyclic(4), 10)),
     (orbits, lambda: partial(layer_classes, trivial(5), 8)),
-    (equivlayers, lambda: _dense(cyclic(4), 5, 5, 1, 1)),
-    (equivlayers, lambda: _dense(dihedral(8), 3, 3, 2, 3)),
+    (oracles, lambda: _dense(cyclic(4), 5, 5, 1, 1)),
+    (oracles, lambda: _dense(dihedral(8), 3, 3, 2, 3)),
 ], ids=["D8-layer-7", "D8-poly-6", "A5-poly-9", "S12-poly-6", "D8-poly-6-members",
         "C4-layer-10", "trivial5-layer-8", "dense-C4-5-5", "dense-D8-3-3-features-2-3"])
 def test_memory_estimate_bounds_the_traced_peak(module, prepare, monkeypatch):

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginet.orbits import OrbitPartition, decode, poly_classes
+from ginet.oracles import (
+    CoeffTensor,
+    check_fixed_point,
+    coeff_tensor,
+    indicator_tensor,
+    members,
+    polynomial_from_tensor,
+    tensor_evaluate,
+)
+from ginet.orbits import decode, poly_classes
 from ginet.permgroup import (PermGroup, Permutation, alternating, cyclic, dihedral, grid,
                              symmetric, trivial)
 from ginet.polybasis import (
@@ -14,15 +23,10 @@ from ginet.polybasis import (
     NotInvariantError,
     Polynomial,
     basis_polynomials,
-    check_fixed_point,
-    coeff_tensor,
     expand_in_basis,
     homogeneous_decompose,
-    indicator_tensor,
     is_invariant,
-    polynomial_from_tensor,
     reynolds,
-    tensor_evaluate,
     vandermonde,
     vandermonde_value,
 )
@@ -62,6 +66,40 @@ def test_evaluate_many_matches_single():
     many = p.evaluate_many(X)
     for i in range(8):
         assert many[i] == pytest.approx(p.evaluate(X[i]))
+
+
+def loop_evaluate_many(p, X):
+    """Oracle: each term's powers computed where they are used, multiplied
+    left to right, and the terms summed in order."""
+    out = np.zeros(X.shape[0])
+    for exps, coeff in p.terms.items():
+        term = np.full(X.shape[0], coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * X[:, i] ** e
+        out += term
+    return out
+
+
+def assert_evaluate_many_keeps_bits(p, X):
+    X[0] = [(-0.0, 0.0)[i % 2] for i in range(p.n)]   # a point of signed zeros
+    got, want = p.evaluate_many(X), loop_evaluate_many(p, X)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evaluate_many_bit_equal_to_term_loop_random(seed):
+    rng = SplitMix64(100 + seed)
+    for n in range(1, 8):
+        p = random_polynomial(n, rng, terms=40, max_degree=21)
+        assert_evaluate_many_keeps_bits(p, rng.uniforms(-1.5, 1.5, 33, n))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_evaluate_many_bit_equal_to_term_loop_vandermonde(n):
+    # the A5-A7 Vandermondes: n! terms of degree n(n-1)/2, up to 21
+    X = SplitMix64(n).uniforms(-1, 1, 64, n)
+    assert_evaluate_many_keeps_bits(vandermonde(n), X)
 
 
 def test_size_mismatch_errors():
@@ -148,7 +186,6 @@ def test_coeff_tensor_rejects_inhomogeneous():
 # ------------------------------------------------------------ fixed point
 
 def test_fixed_point_all_ones():
-    from ginet.polybasis import CoeffTensor
     W = CoeffTensor(3, 2, np.ones((3, 3)))
     assert check_fixed_point(W, symmetric(3))
     assert check_fixed_point(W, cyclic(3))
@@ -163,7 +200,6 @@ def test_fixed_point_indicator_tensors():
 
 
 def test_fixed_point_single_tuple_fails():
-    from ginet.polybasis import CoeffTensor
     values = np.zeros((2, 2))
     values[0, 1] = 1.0
     W = CoeffTensor(2, 2, values)
@@ -210,7 +246,7 @@ def test_indicator_supports_disjoint_and_sized():
     for c in range(P.num_classes):
         W = indicator_tensor(P, c)
         flat = W.values.reshape(-1)
-        assert flat.sum() == len(P.members(c))
+        assert flat.sum() == len(members(P, c))
         assert np.all(seen + flat <= 1.0)
         seen += flat
     assert np.all(seen == 1.0)
@@ -528,8 +564,8 @@ def test_basis_and_expansion_walk_no_tuples(G, degrees, monkeypatch):
         for b in expected[k]:
             p = p + b.polynomial.scale(1.0 + b.class_index)
     oracle = tuple_expand_in_basis(p, G, bases=expected)
-    monkeypatch.setattr("ginet.polybasis.decode", walk)
-    monkeypatch.setattr(OrbitPartition, "members", walk)
+    monkeypatch.setattr("ginet.orbits.decode", walk)
+    monkeypatch.setattr("ginet.oracles.members", walk)
     for k in degrees:
         assert_same_basis(basis_polynomials(G, k), expected[k])
     assert bits(expand_in_basis(p, G)) == bits(oracle)
