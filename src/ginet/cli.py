@@ -266,11 +266,13 @@ def _cmd_approx(args) -> int:
     try:
         network, report = net.approximate_polynomial(
             G, p, args.epsilon, (args.box[0], args.box[1]), cfg,
-            exact_mul=args.exact_mul, eval_points=args.eval_points)
+            gadget=args.gadget, eval_points=args.eval_points)
     except net.TargetNotReachedError as exc:
         raise VerificationFailure(str(exc)) from None
     ok = report.achieved_max_error <= args.epsilon
     results = asdict(report)
+    if report.class_bound is None:   # trained gadgets: no class bound
+        del results["class_bound"]
     results["within_epsilon"] = ok
     gadget_epochs = sum(t["gadget"].get("epochs", 0) for t in report.terms)
     lines = [f"group order: {G.order}",
@@ -280,7 +282,7 @@ def _cmd_approx(args) -> int:
              f"epsilon: {args.epsilon:g}",
              f"within_epsilon: {str(ok).lower()}"]
     _emit(args, _config_dict(args, ["group", "poly", "epsilon", "box", "seed",
-                                    "exact_mul", "eval_points", "train_epochs"]),
+                                    "gadget", "eval_points", "train_epochs"]),
           results,
           {"eval_points": report.eval_points, "gadget_epochs": gadget_epochs},
           lines)
@@ -404,11 +406,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--box", type=float, nargs=2, metavar=("LO", "HI"),
                    default=[-1.0, 1.0])
-    p.add_argument("--exact-mul", action="store_true",
-                   help="use exact multiplication gadgets (structural check)")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--gadget", choices=net.GADGETS, default="constructive",
+                      help="product gadgets: closed-form relu nets with a proven "
+                           "bound (default), trained sigmoid nets, or exact products")
+    kind.add_argument("--exact-mul", dest="gadget", action="store_const", const="exact",
+                      help="the same as --gadget exact")
     p.add_argument("--eval-points", type=int, default=10_000)
     p.add_argument("--train-epochs", type=int, default=5000,
-                   help="gradient-refinement budget per gadget")
+                   help="gradient-refinement budget per trained gadget")
     common(p)
     p.set_defaults(func=_cmd_approx)
 

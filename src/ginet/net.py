@@ -1,4 +1,4 @@
-"""Invariant networks and their trainable multiplication gadgets.
+"""Invariant networks and their multiplication gadgets.
 
 The model is the composition: equivariant layers and entrywise
 activations on index tensors, one invariant summation, then an MLP
@@ -21,6 +21,17 @@ evaluates each term once per multiset, weighted by the multiset's
 multinomial multiplicity (ClassSumStage), instead of on all n^d lifted
 tuples; the lifted unified network is the reference form the tests
 check it against.
+
+A product gadget is one of three kinds.  The default, constructive
+(constructive_product), is a closed-form relu MLP after Yarotsky's
+squaring network: polarization turns x * y into a difference of two
+squares, each square comes from m sawtooth levels, and k > 2 inputs go
+through a balanced tree of such pairs compiled into one MLP.  Nothing
+trains, and its max_error is a proven bound, rounding included; it is 0
+at 0, so a term's error is at most |alpha| |class| max_error.  A trained
+gadget (train_product_mlp) is a sigmoid MLP fitted on seeded samples,
+its max_error measured on a grid; an exact one (ExactProduct) multiplies
+its columns.
 
 Tensors flow through stages flattened: (batch, n^order, features).
 
@@ -605,8 +616,8 @@ class ExactProduct:
 
 
 class MLPProduct:
-    """A trained k-input multiplication MLP, valid on [-box, box]^k.  It
-    sees each row value-sorted, the region it was trained on."""
+    """A k-input multiplication MLP, valid on [-box, box]^k.  It sees each
+    row value-sorted, the region a trained one was fitted on."""
 
     def __init__(self, mlp: MLP, k: int, box: float, max_error: float,
                  epochs_trained: int):
@@ -833,6 +844,179 @@ def train_product_mlp(k: int, c: float, target: float,
     return tree
 
 
+class ConstructiveProduct(MLPProduct):
+    """A closed-form relu product net (constructive_product): nothing
+    trains, and max_error is a proven bound, not a measured one."""
+
+    def __init__(self, mlp: MLP, k: int, box: float, levels: list[int],
+                 max_error: float):
+        super().__init__(mlp, k, box, max_error, epochs_trained=0)
+        self.levels = levels
+
+    def describe(self) -> dict:
+        return {"kind": "constructive", "k": self.k, "box": self.box,
+                "max_error": self.max_error, "epochs": 0, "m": self.levels,
+                "widths": self.mlp.widths, "activation": self.mlp.activation}
+
+
+# sawtooth levels of one pair gadget at most: from m = 22 on, the rounding
+# allowance of _pair_error outweighs the 4^-(m+1) approximation term
+_MAX_SAWTOOTH = 24
+
+
+def _pair_error(P: float, m: int) -> float:
+    """The proven max error of the pair gadget with m sawtooth levels on
+    [-Ca, Ca] x [-Cb, Cb], P = Ca * Cb: P * 4^-(m+1) in exact arithmetic,
+    plus the rounding allowance P * (10m + 80) * 2^-53 (constructive_product)."""
+    return P * (0.25 ** (m + 1) + (10 * m + 80) * 2.0 ** -53)
+
+
+def _least_levels(ratio: float) -> int:
+    """The least m >= 0 with 4^(m+1) >= ratio, at most _MAX_SAWTOOTH + 1."""
+    return max(0, math.ceil(min(math.log(max(ratio, 1.0), 4), _MAX_SAWTOOTH + 2) - 1))
+
+
+def _constructive_plan(k: int, c: float, target: float) -> tuple[list[int], list[list], float]:
+    """The sawtooth levels m of each level of the balanced pair tree on k
+    inputs in [-c, c], the (Ca, Cb) input boxes of each level's pairs, and
+    the proven max error; TargetNotReachedError if no m up to
+    _MAX_SAWTOOTH meets target.
+
+    Each channel carries the box B of its exact value, the bound E on its
+    error and its factor count s.  A pair of channels a, b becomes B_a B_b
+    with error _pair_error(Ca Cb, m) + Ca E_b + B_b E_a, where Ca = B_a +
+    E_a bounds the value the pair sees; an odd channel passes exactly.  To
+    first order a node's error reaches the output times the other factors'
+    boxes, c^(k - s), so each of the k - 1 nodes gets target / (k - 1): m
+    is the least with c^(k - s) Ca Cb 4^-(m+1) <= target / (k - 1), in
+    closed form, and a level takes its pairs' largest m.  For k = 2 that
+    is the least m with c^2 4^-(m+1) <= target.  When the second-order
+    terms or the rounding allowance push the propagated bound over
+    target, every level takes one more m."""
+    share = target / (k - 1)
+    if not share > 0:   # an underflowed target
+        raise TargetNotReachedError(target, math.inf)
+    for extra in range(_MAX_SAWTOOTH + 1):
+        chans = [(c, 0.0, 1)] * k   # (box B, error bound E, factors s) per channel
+        levels, boxes = [], []
+        while len(chans) > 1:
+            pairs = list(zip(chans[0::2], chans[1::2]))
+            seen = [(Ba + Ea, Bb + Eb) for (Ba, Ea, _), (Bb, Eb, _) in pairs]
+            m = extra + max(_least_levels(c ** (k - sa - sb) * Ca * Cb / share)
+                            for ((_, _, sa), (_, _, sb)), (Ca, Cb) in zip(pairs, seen))
+            merged = [(Ba * Bb, _pair_error(Ca * Cb, m) + Ca * Eb + Bb * Ea, sa + sb)
+                      for ((Ba, Ea, sa), (Bb, Eb, sb)), (Ca, Cb) in zip(pairs, seen)]
+            chans = merged + chans[2 * len(pairs):]
+            levels.append(m)
+            boxes.append(seen)
+        if max(levels) > _MAX_SAWTOOTH:
+            break
+        if chans[0][1] <= target:
+            return levels, boxes, chans[0][1]
+    raise TargetNotReachedError(target, chans[0][1])
+
+
+def _constructive_widths(k: int, levels: list[int]) -> list[int]:
+    """The layer widths of constructive_product's net: per tree level, its
+    abs layer (4 per pair, 2 per passed channel), then m sawtooth layers
+    (6 per pair, 2 per passed channel); one output."""
+    widths, chans = [k], k
+    for m in levels:
+        pairs, passes = divmod(chans, 2)
+        widths += [4 * pairs + 2 * passes] + [6 * pairs + 2 * passes] * m
+        chans = pairs + passes
+    return widths + [1]
+
+
+def _pair_layers(Ca: float, Cb: float, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """x * y on [-Ca, Ca] x [-Cb, Cb] as (W, b) layers, the last linear:
+    an abs layer, m sawtooth layers, the output (constructive_product)."""
+    sa, sb = 0.5 / Ca, 0.5 / Cb
+    layers = [(np.array([[sa, sb], [-sa, -sb], [sa, -sb], [-sa, sb]]), np.zeros(4))]
+    bias = np.tile([0.0, -0.5, 0.0], 2)
+    if m:   # per square: h = t, p = relu(t - 1/2), A = t from t = relu(u) + relu(-u)
+        layers.append((np.kron(np.eye(2), np.ones((3, 2))), bias))
+    for j in range(1, m):   # h, p from g = 2h - 4p; A -= g / 4^j
+        q = 0.25 ** j
+        layers.append((np.kron(np.eye(2), [[2.0, -4.0, 0.0], [2.0, -4.0, 0.0],
+                                           [-2.0 * q, 4.0 * q, 1.0]]), bias))
+    q = 0.25 ** m
+    last = [-2.0 * q, 4.0 * q, 1.0] if m else [1.0, 1.0]
+    layers.append((Ca * Cb * np.kron([[1.0, -1.0]], [last]), np.zeros(1)))
+    return layers
+
+
+def _pass_layers(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """z carried through m + 1 hidden layers as relu(z), relu(-z), exactly."""
+    step = (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2))
+    return ([(np.array([[1.0], [-1.0]]), np.zeros(2))] + [step] * m
+            + [(np.array([[1.0, -1.0]]), np.zeros(1))])
+
+
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
+    r = c = 0
+    for B in blocks:
+        out[r:r + B.shape[0], c:c + B.shape[1]] = B
+        r, c = r + B.shape[0], c + B.shape[1]
+    return out
+
+
+def constructive_product(k: int, c: float, target: float):
+    """A closed-form relu net computing the k-way product on [-c, c]^k
+    within a proven max error <= target (Yarotsky, "Error bounds for
+    approximations with deep ReLU networks", Neural Networks 2017);
+    nothing trains.  k = 1 is ExactProduct(1).
+
+    The pair gadget uses polarization: with u = (x/Ca + y/Cb)/2 and v =
+    (x/Ca - y/Cb)/2 in [-1, 1], x y = Ca Cb (u^2 - v^2).  An abs layer
+    gives |u| = relu(u) + relu(-u), and m sawtooth levels give f_m(t) = t
+    - sum_{s<=m} g^s(t) / 4^s with g(t) = 2 relu(t) - 4 relu(t - 1/2),
+    the tent map on [0, 1].  f_m interpolates t^2 at the multiples of
+    2^-m, so 0 <= f_m(t) - t^2 <= 4^-(m+1) on [0, 1], and the two
+    squares' errors cancel to within Ca Cb 4^-(m+1).  Each level keeps
+    three units per square: g^(s-1)(t), relu(g^(s-1)(t) - 1/2) and the
+    running f_(s-1)(t), which is nonnegative and so passes the relu.
+    k >= 3 is a balanced tree of pairs compiled into one MLP: the pairs
+    of a level stack block-diagonally, an odd channel passes as
+    relu(z) - relu(-z), and each level's linear output layer is
+    multiplied into the next level's first layer.  _constructive_plan
+    picks each level's m and propagates the bound exactly through the
+    levels' boxes.  gadget(0) == 0.0 exactly: every unit is 0 there.
+
+    The bound covers floating-point rounding for inputs in the box
+    (barring overflow and subnormals): the tent steps are exact in binary
+    floating point (relu(t - 1/2) and 2t - 4 relu(t - 1/2) are exact for
+    a double t in [0, 1]), so rounding enters only the input scaling, the
+    m running sums and the output sum.  From the n-term sum bound gamma_n = n u /
+    (1 - n u), u = 2^-53, that is at most (10m + 80) u Ca Cb per pair,
+    which _pair_error adds to Ca Cb 4^-(m+1).  At 200k random points on
+    [-1, 1]^2 the measured errors sat just below the bound: 9.764e-4
+    (bound 9.766e-4) at m = 4, 1.4893e-8 (1.4901e-8) at m = 12.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if c <= 0 or target <= 0:
+        raise ValueError("c and target must be positive")
+    if k == 1:
+        return ExactProduct(1)
+    levels, boxes, max_error = _constructive_plan(k, c, target)
+    layers: list[tuple[np.ndarray, np.ndarray]] = []
+    chans = k
+    for m, pairs in zip(levels, boxes):
+        parts = [_pair_layers(Ca, Cb, m) for Ca, Cb in pairs] + [_pass_layers(m)] * (chans % 2)
+        chans = len(parts)
+        level = [(_block_diag([p[i][0] for p in parts]), np.concatenate([p[i][1] for p in parts]))
+                 for i in range(m + 2)]
+        if layers:   # the previous level's linear output into this level's first layer
+            W, b = layers.pop()
+            V, d = level[0]
+            level[0] = (V @ W, V @ b + d)
+        layers += level
+    mlp = MLP([W for W, _ in layers], [b for _, b in layers], "relu")
+    return ConstructiveProduct(mlp, k, c, levels, max_error)
+
+
 # ----------------------------------------------------------------- stages
 
 class EquivStage:
@@ -981,19 +1165,23 @@ class ClassSumStage:
         return out
 
 
-def _class_sum_bytes(sizes, points: int, exact_mul: bool) -> int:
+def _class_sum_bytes(sizes, points: int, widths: Mapping[int, list | None]) -> int:
     """An estimate of ClassSumStage.forward's peak bytes on points points,
     for terms given as (degree k, multisets m): every term's digit table
     and multiplicities, then the largest term's points * (m + 1) gadget
-    outputs and its run buffers.  Those are ExactProduct's block, or
-    MLP.forward's per-worker blocks through a k->64->64->1 net plus, for
-    a trained tree (k > 3), its rows gathered whole with a pair and its
-    product, k + 3 floats per row."""
+    outputs and its run buffers.  widths[k] holds the layer widths of the
+    net the degree-k gadget runs (_gadget_widths), None for ExactProduct.
+    The buffers are ExactProduct's block, or MLP.forward's per-worker
+    blocks (the input and its sort's spare column, every hidden layer)
+    and its bias tiles plus, for a trained tree (k > 3, pair nets of
+    input width 2), its rows gathered whole with a pair and its product,
+    k + 3 floats per row."""
     def peak(k, rows):
-        if exact_mul:
+        if widths[k] is None:
             return rows + min(rows, _EXACT_BLOCK) * (k + 1)
-        blocks = _WORKERS * 2 * _ROW_BLOCK * (k + 1 + sum(_PRODUCT_HIDDEN))
-        return rows * (1 + (k + 3) * (k > 3)) + blocks
+        hidden = sum(widths[k][1:-1])
+        blocks = 2 * _ROW_BLOCK * (_WORKERS * (k + 1 + hidden) + hidden + 1)
+        return rows * (1 + (k + 3) * (widths[k][0] != k)) + blocks
     return 8 * (sum((m + 1) * (k + 1) for k, m in sizes)
                 + max((peak(k, points * (m + 1)) for k, m in sizes), default=0))
 
@@ -1138,23 +1326,53 @@ class ApproximationReport:
     achieved_max_error: float
     eval_points: int
     seed: int
+    # sum of the terms' class_error_budget; None for trained gadgets,
+    # whose gadget(0) is not 0
+    class_bound: float | None
+
+
+GADGETS = ("constructive", "trained", "exact")
+
+
+def _gadget_widths(gadget: str, k: int, c: float, target: float) -> list[int] | None:
+    """The layer widths of the net the degree-k gadget will run (a trained
+    tree's pair nets for k > 3), None for ExactProduct; nothing is built."""
+    if gadget == "exact" or k == 1:
+        return None
+    if gadget == "trained":
+        return [k if k <= 3 else 2, *_PRODUCT_HIDDEN, 1]
+    return _constructive_widths(k, _constructive_plan(k, c, target)[0])
 
 
 def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
                            box: tuple[float, float] = (-1.0, 1.0),
                            cfg: TrainConfig | None = None,
-                           exact_mul: bool = False,
+                           gadget: str = "constructive",
                            eval_points: int = 10_000,
                            ) -> tuple[GInvariantNetwork, ApproximationReport]:
     """Expand an invariant polynomial over the class basis, approximate
     every term with a product gadget, and return one network that sums
     each term over the multisets of its class and weights the sums.
-    Before any gadget trains, the class sums' estimated peak for one
-    forward_many chunk goes to the memory check (CapExceededError).
+    Before any gadget is built, the class sums' estimated peak for one
+    forward_many chunk, read from the widths of the gadgets that will
+    run, goes to the memory check (CapExceededError).
 
-    Each degree-k gadget trains to the n^-k * epsilon / |alpha|_1 target
-    so the term-by-term error chain keeps the total below epsilon.
+    Each degree-k gadget meets the n^-k * epsilon / |alpha|_1 target, so
+    theoretical_bound, the sum of |alpha| n^k max_error over the terms,
+    stays below epsilon.  gadget picks the kind:
+    - "constructive" (the default): constructive_product, a closed-form
+      relu net whose max_error is a proven bound; nothing trains.
+    - "trained": train_product_mlp, sigmoid nets fitted on a seeded
+      sample, max_error measured on a grid (TargetNotReachedError if
+      missed).
+    - "exact": ExactProduct, no error.
+    A constructive or exact gadget is exactly 0 at the zero tuple, so a
+    term's error is at most |alpha| |class| max_error, its
+    class_error_budget, and class_bound sums those; for trained gadgets
+    neither is reported.  theoretical_bound is reported for every kind.
     """
+    if gadget not in GADGETS:
+        raise ValueError(f"gadget must be one of {', '.join(GADGETS)}, got {gadget!r}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if eval_points < 0:
@@ -1173,24 +1391,35 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     l1 = sum(abs(a) for a in coeffs.values())
     constant = coeffs.get((0, 0), 0.0)
     degrees = sorted({k for (k, _ci) in coeffs if k >= 1})
+    try:   # every gadget bounds its error by the box's c^k
+        c ** max(degrees, default=0)
+    except OverflowError:
+        raise ValueError(f"c^{max(degrees)} is not a finite float for the box's "
+                         f"c = {c:g}") from None
+    targets = {k: epsilon / (l1 * n**k) for k in degrees}
 
-    # fail fast, before any gadget trains: the class sums of one
+    # fail fast, before any gadget is built: the class sums of one
     # forward_many chunk must fit in memory
     chunk = min(eval_points, FORWARD_CHUNK)
     counts = {k: np.bincount(partitions[k].labels).tolist() for k in degrees}
     sizes = [(k, counts[k][ci]) for k, ci in coeffs if k]
-    _check_memory(_class_sum_bytes(sizes, chunk, exact_mul),
+    widths = {k: _gadget_widths(gadget, k, c, targets[k]) for k in degrees}
+    _check_memory(_class_sum_bytes(sizes, chunk, widths),
                   f"the class sums of {len(sizes)} terms on {chunk} points")
 
     gadgets: dict[int, object] = {}
     for k in degrees:
-        if exact_mul:
+        if gadget == "exact":
             gadgets[k] = ExactProduct(k)
+        elif gadget == "constructive":
+            gadgets[k] = constructive_product(k, c, targets[k])
         else:
-            target = epsilon / (l1 * n**k)
             sub = replace(cfg, seed=SplitMix64(cfg.seed).spawn(
                 f"degree-{k}").next_u64() & 0x7FFFFFFF)
-            gadgets[k] = train_product_mlp(k, c, target, sub)
+            gadgets[k] = train_product_mlp(k, c, targets[k], sub)
+    # gadget(0) == 0 exactly: the (n^k - |class|) gadget(0) term vanishes
+    zero_at_zero = gadget != "trained"
+    class_sizes = {k: partitions[k].sizes().tolist() for k in degrees} if zero_at_zero else {}
 
     terms = []
     alphas = []
@@ -1211,6 +1440,8 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
             "error_budget": abs(alpha) * n**k * err,
             "gadget": gadgets[k].describe(),
         })
+        if zero_at_zero:
+            term_rows[-1]["class_error_budget"] = abs(alpha) * class_sizes[k][ci] * err
 
     head = MLP([np.array([alphas])], [np.array([constant])], "sigmoid")
     network = GInvariantNetwork(G, [ClassSumStage(terms), MLPStage(head)],
@@ -1221,8 +1452,9 @@ def approximate_polynomial(G: PermGroup, p: Polynomial, epsilon: float,
     achieved = float(np.max(np.abs(network.forward_many(X) - p.evaluate_many(X)))) \
         if eval_points else 0.0
     report = ApproximationReport(
-        epsilon=epsilon, box=(lo, hi), c=c, exact_mul=exact_mul,
+        epsilon=epsilon, box=(lo, hi), c=c, exact_mul=gadget == "exact",
         alpha_l1=l1, constant_term=constant, terms=term_rows,
         theoretical_bound=sum(r["error_budget"] for r in term_rows),
-        achieved_max_error=achieved, eval_points=eval_points, seed=cfg.seed)
+        achieved_max_error=achieved, eval_points=eval_points, seed=cfg.seed,
+        class_bound=sum(r["class_error_budget"] for r in term_rows) if zero_at_zero else None)
     return network, report

@@ -468,7 +468,7 @@ def test_report_determinism_double_run(c4_file, ring_poly_file, tmp_path):
 def test_approx_gadget_failure_exit1(c4_file, ring_poly_file, capsys):
     # an unreachable accuracy target is a verification failure, not usage
     code = main(["approx", "--group", c4_file, "--poly", ring_poly_file,
-                 "--epsilon", "1e-9", "--train-epochs", "1",
+                 "--epsilon", "1e-9", "--gadget", "trained", "--train-epochs", "1",
                  "--eval-points", "10"])
     assert code == 1
     assert "verification failed" in capsys.readouterr().err
@@ -476,10 +476,12 @@ def test_approx_gadget_failure_exit1(c4_file, ring_poly_file, capsys):
 
 @pytest.mark.parametrize("option", [["--epsilon", "nan"], ["--epsilon", "inf"],
                                     ["--epsilon", "0.05", "--box", "nan", "1"],
-                                    ["--epsilon", "0.05", "--box", "0", "inf"]])
+                                    ["--epsilon", "0.05", "--box", "0", "inf"],
+                                    ["--epsilon", "0.05", "--box", "0", "1e200"]])
 def test_approx_non_finite_exit2(c4_file, ring_poly_file, option, capsys):
     # before the check, nan trained against nan targets (exit 1) and
-    # inf passed with within_epsilon: true (exit 0)
+    # inf passed with within_epsilon: true (exit 0); a box whose c^k
+    # overflows raised OverflowError, a traceback
     code = main(["approx", "--group", c4_file, "--poly", ring_poly_file,
                  *option, "--eval-points", "10"])
     assert code == 2
@@ -489,13 +491,14 @@ def test_approx_non_finite_exit2(c4_file, ring_poly_file, option, capsys):
 def test_approx_negative_eval_points_exit2_before_training(c4_file, ring_poly_file,
                                                          monkeypatch, capsys):
     import ginet.net
-    trained = []
-    monkeypatch.setattr(ginet.net, "train_product_mlp",
-                        lambda *args, **kwargs: trained.append(args))
-    assert main(["approx", "--group", c4_file, "--poly", ring_poly_file,
-                 "--epsilon", "0.05", "--eval-points", "-3"]) == 2
-    assert "eval_points must be >= 0, got -3" in capsys.readouterr().err
-    assert trained == []
+    built = []
+    for builder in ("train_product_mlp", "constructive_product"):
+        monkeypatch.setattr(ginet.net, builder, lambda *args, **kwargs: built.append(args))
+    for gadget in ("constructive", "trained"):
+        assert main(["approx", "--group", c4_file, "--poly", ring_poly_file,
+                     "--epsilon", "0.05", "--gadget", gadget, "--eval-points", "-3"]) == 2
+        assert "eval_points must be >= 0, got -3" in capsys.readouterr().err
+    assert built == []
 
 
 def test_approx_class_sum_memory_exit3_before_training(c4_file, ring_poly_file,
@@ -505,15 +508,95 @@ def test_approx_class_sum_memory_exit3_before_training(c4_file, ring_poly_file,
     import ginet.net
     import ginet.orbits
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("a gadget trained before the class-sum memory check")
+    def no_building(*args, **kwargs):
+        raise AssertionError("a gadget was built before the class-sum memory check")
 
-    monkeypatch.setattr(ginet.net, "train_product_mlp", no_training)
+    monkeypatch.setattr(ginet.net, "train_product_mlp", no_building)
+    monkeypatch.setattr(ginet.net, "constructive_product", no_building)
     monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", 100_000)
-    assert main(["approx", "--group", c4_file, "--poly", ring_poly_file,
-                 "--epsilon", "0.05"]) == 3
+    for gadget in ("constructive", "trained"):
+        assert main(["approx", "--group", c4_file, "--poly", ring_poly_file,
+                     "--epsilon", "0.05", "--gadget", gadget]) == 3
+        err = capsys.readouterr().err
+        assert "resource limit exceeded: the class sums of 1 terms on 2048 points" in err
+
+
+def test_approx_constructive_memory_exit3(tmp_path, monkeypatch, capsys):
+    # x^6 on one point at epsilon 1e-10: the constructive gadget has 18-wide
+    # layers 17 deep (566 hidden units per row), so its blocks and bias
+    # tiles take about 18.7 MB with one worker; counted as 64 + 64 hidden
+    # units, as every gadget but the exact one once was, they took 2.5 MB
+    import ginet.net
+    import ginet.orbits
+    group, poly = tmp_path / "one.grp", tmp_path / "x6.poly"
+    group.write_text("n = 1\n")
+    poly.write_text("1: 6\n")
+    monkeypatch.setattr(ginet.net, "_WORKERS", 1)
+    monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", 8 * 2**20)
+    argv = ["approx", "--group", str(group), "--poly", str(poly), "--epsilon", "1e-10"]
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert "resource limit exceeded: the class sums of 1 terms on 2048 points" in err
+    assert main(argv + ["--exact-mul"]) == 0
+    monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", None)
+    report = tmp_path / "r.json"
+    assert main(argv + ["--eval-points", "2048", "--report", str(report)]) == 0
+    gadget = json.loads(report.read_text())["results"]["terms"][0]["gadget"]
+    assert gadget["kind"] == "constructive" and gadget["m"] == [17, 17, 17]
+    assert gadget["widths"][:3] == [6, 12, 18] and sum(gadget["widths"][1:-1]) == 566
+
+
+def test_approx_degree3_c4_constructive_exit0(c4_file, tmp_path, capsys):
+    poly = tmp_path / "cubic.poly"
+    poly.write_text("1: 1 1 1 0\n1: 0 1 1 1\n1: 1 0 1 1\n1: 1 1 0 1\n"
+                    "-0.5: 3 0 0 0\n-0.5: 0 3 0 0\n-0.5: 0 0 3 0\n-0.5: 0 0 0 3\n")
+    report = tmp_path / "r.json"
+    assert main(["approx", "--group", c4_file, "--poly", str(poly), "--epsilon", "0.05",
+                 "--report", str(report)]) == 0
+    res = json.loads(report.read_text())["results"]
+    assert [t["degree"] for t in res["terms"]] == [3, 3]
+    assert {t["gadget"]["kind"] for t in res["terms"]} == {"constructive"}
+    assert res["achieved_max_error"] <= res["class_bound"] <= res["theoretical_bound"] <= 0.05
+
+
+def test_criterion_5a_cases_with_trained_gadgets(tmp_path):
+    # acceptance criterion 5a's cases, which run the default constructive
+    # gadgets, on the trained path
+    cases = [("c4", "n = 4\ngen: (1 2 3 4)\n",
+              "1: 1 1 0 0\n1: 0 1 1 0\n1: 0 0 1 1\n1: 1 0 0 1\n"),
+             ("s3", "name = symmetric\nn = 3\n", "name: powersum 2\n")]
+    for tag, gtext, ptext in cases:
+        g, p, report = (tmp_path / f"{tag}.{ext}" for ext in ("grp", "poly", "json"))
+        g.write_text(gtext)
+        p.write_text(ptext)
+        assert main(["approx", "--group", str(g), "--poly", str(p), "--epsilon", "0.05",
+                     "--box", "-1", "1", "--seed", "0", "--gadget", "trained",
+                     "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        res = data["results"]
+        assert data["config"]["gadget"] == "trained"
+        assert res["eval_points"] == 10_000 and res["achieved_max_error"] <= 0.05
+        assert {t["gadget"]["kind"] for t in res["terms"]} == {"mlp"}
+        assert "class_bound" not in res
+        assert not any("class_error_budget" in t for t in res["terms"])
+
+
+def test_approx_exact_mul_is_gadget_exact(c4_file, ring_poly_file, tmp_path, capsys):
+    argv = ["approx", "--group", c4_file, "--poly", ring_poly_file, "--epsilon", "0.05",
+            "--eval-points", "50"]
+    blobs = []
+    for flag in (["--exact-mul"], ["--gadget", "exact"]):
+        report = tmp_path / "r.json"
+        assert main(argv + flag + ["--report", str(report)]) == 0
+        blobs.append(report.read_bytes())
+    assert blobs[0] == blobs[1]
+    data = json.loads(blobs[0])
+    assert data["config"]["gadget"] == "exact" and "exact_mul" not in data["config"]
+    assert data["results"]["exact_mul"] is True and data["results"]["class_bound"] == 0.0
+    capsys.readouterr()
+    assert main(argv + ["--exact-mul", "--gadget", "trained"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert main(argv + ["--gadget", "sigmoid"]) == 2
 
 
 # the limit is the physical memory, and nothing sets it: --cap is

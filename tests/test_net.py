@@ -32,6 +32,7 @@ from ginet.net import (
     build_term_network,
     build_unified,
     constant_network,
+    constructive_product,
     grad_check,
     mlp_init,
     mlp_train,
@@ -558,6 +559,83 @@ def test_product_tree_k4():
     assert np.max(np.abs(g(Y) - np.prod(Y, axis=1))) <= 0.05
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_constructive_product_within_proven_bound(monkeypatch, k):
+    # the sampled error never exceeds the proven max_error, on seeded
+    # points and on the distinct rows of the value-sorted grid; gadget(0)
+    # is +0.0; class rows and one or two workers give the array's bits
+    n = 4
+    digits = np.array(list(itertools.combinations_with_replacement(range(n), k)))
+    for c in (0.5, 1.0, 2.5):
+        # the distinct rows of the value-sorted grid: its axis values,
+        # nondecreasing
+        axis = np.unique(ginet.net._product_grid(k, -c, c)[:, 0])
+        grid = np.array(list(itertools.combinations_with_replacement(axis, k)))
+        points = SplitMix64(90 + k).uniforms(-c, c, 4096, k)
+        X = SplitMix64(95 + k).uniforms(-c, c, 2 * _ROW_BLOCK // len(digits) + 7, n)
+        rows = ginet.net.ClassRows(X, digits)
+        for target in (1e-2, 1e-6, 1e-10):
+            g = constructive_product(k, c, target)
+            assert g.max_error <= target and g.mlp.activation == "relu"
+            assert len(g.levels) == (k - 1).bit_length()
+            for Y in (points, grid):
+                assert np.max(np.abs(g(Y) - np.prod(Y, axis=1))) <= g.max_error, (c, target)
+            zero = g(np.zeros((1, k)))
+            assert zero[0] == 0.0 and not np.signbit(zero[0])
+            want = g(np.asarray(rows))
+            for workers in (1, 2):
+                monkeypatch.setattr(ginet.net, "_WORKERS", workers)
+                assert np.array_equal(g(rows), want)
+
+
+def test_constructive_pair_closed_form():
+    # k = 2: m is the least with c^2 4^-(m+1) <= target, and max_error is
+    # that term plus the rounding allowance (10m + 80) 2^-53 c^2
+    for c, target, m in ((1.0, 2.04e-3, 4), (1.0, 1e-6, 9), (2.5, 1e-2, 4), (0.5, 1e-10, 15)):
+        g = constructive_product(2, c, target)
+        assert g.levels == [m]
+        assert c * c * 0.25 ** (m + 1) <= target < c * c * 0.25 ** m
+        assert g.max_error == c * c * (0.25 ** (m + 1) + (10 * m + 80) * 2.0 ** -53)
+        assert g.mlp.widths == [2, 4, *[6] * m, 1]
+        assert g.describe() == {"kind": "constructive", "k": 2, "box": c,
+                                "max_error": g.max_error, "epochs": 0, "m": [m],
+                                "widths": g.mlp.widths, "activation": "relu"}
+    # the widths of a tree: three pairs, then a pair and a passed channel, then a pair
+    g = constructive_product(6, 1.0, 1e-10)
+    m1, m2, m3 = g.levels
+    assert g.mlp.widths == [6, 12, *[18] * m1, 6, *[8] * m2, 4, *[6] * m3, 1]
+    assert g.mlp.widths == ginet.net._constructive_widths(6, g.levels)
+    assert isinstance(constructive_product(1, 1.0, 1e-12), ExactProduct)
+
+
+def test_constructive_pair_bound_covers_rounding():
+    # where x + y sits at a midpoint of the sawtooth's 2^-m grid and x - y
+    # on a grid point, the exact-arithmetic error c^2 4^-(m+1) is attained;
+    # nudged by 1e-15 c, rounding takes the measured error a few units of
+    # c^2 2^-53 past it, and the allowance in max_error covers that
+    rng = SplitMix64(97)
+    for c, target in ((0.3, 1e-7), (1.0, 1e-3), (2.5, 1e-11), (7.0, 1e-7)):
+        g = constructive_product(2, c, target)
+        m = g.levels[0]
+        u = (2 * np.floor(rng.uniforms(0, 2**m, 20_000)) + 1) / 2 ** (m + 1)
+        v = np.floor(rng.uniforms(0, 2**m + 1, 20_000)) / 2**m
+        u, v = u[u + v <= 1], v[u + v <= 1]
+        X = np.clip(c * np.stack([u + v, u - v], axis=1)
+                    + rng.uniforms(-1e-15, 1e-15, len(u), 2) * c, -c, c)
+        err = np.max(np.abs(g(X) - X[:, 0] * X[:, 1]))
+        assert c * c * 0.25 ** (m + 1) < err <= g.max_error
+
+
+def test_constructive_product_unreachable_target():
+    # below the rounding allowance no m meets the target
+    from ginet.net import TargetNotReachedError
+    with pytest.raises(TargetNotReachedError) as err:
+        constructive_product(2, 1.0, 1e-16)
+    assert err.value.best > 1e-16
+    with pytest.raises(ValueError, match="positive"):
+        constructive_product(2, 1.0, 0.0)
+
+
 # ------------------------------------------------------------------- networks
 
 def test_term_network_with_exact_gadget_matches_basis_polynomial():
@@ -661,7 +739,7 @@ def test_approximate_polynomial_exact_gadgets():
     G = cyclic(4)
     p = Polynomial(4, {(1, 1, 0, 0): 1.0, (0, 1, 1, 0): 1.0,
                        (0, 0, 1, 1): 1.0, (1, 0, 0, 1): 1.0})
-    net, report = approximate_polynomial(G, p, 0.05, exact_mul=True,
+    net, report = approximate_polynomial(G, p, 0.05, gadget="exact",
                                          eval_points=500)
     assert report.achieved_max_error <= 1e-10
     assert report.alpha_l1 == pytest.approx(0.5)
@@ -683,20 +761,22 @@ def test_approximate_rejects_non_finite(epsilon, box):
 
 
 def test_approximate_rejects_negative_eval_points_before_training(monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("a gadget trained before eval_points was checked")
+    def no_building(*args, **kwargs):
+        raise AssertionError("a gadget was built before eval_points was checked")
 
-    monkeypatch.setattr(ginet.net, "train_product_mlp", no_training)
+    monkeypatch.setattr(ginet.net, "train_product_mlp", no_building)
+    monkeypatch.setattr(ginet.net, "constructive_product", no_building)
     G = symmetric(3)
     p = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    with pytest.raises(ValueError, match="eval_points must be >= 0, got -3"):
-        approximate_polynomial(G, p, 0.1, eval_points=-3)
+    for gadget in ("constructive", "trained"):
+        with pytest.raises(ValueError, match="eval_points must be >= 0, got -3"):
+            approximate_polynomial(G, p, 0.1, gadget=gadget, eval_points=-3)
 
 
 def test_approximate_constant_polynomial():
     G = symmetric(3)
     p = Polynomial.constant(3, 4.25)
-    net, report = approximate_polynomial(G, p, 0.01, exact_mul=True,
+    net, report = approximate_polynomial(G, p, 0.01, gadget="exact",
                                          eval_points=100)
     assert report.achieved_max_error == 0.0
     assert net.forward(np.array([0.1, 0.2, 0.3])) == 4.25
@@ -706,13 +786,13 @@ def test_approximate_rejects_non_invariant():
     from ginet.polybasis import NotInvariantError
     G = cyclic(3)
     with pytest.raises(NotInvariantError):
-        approximate_polynomial(G, Polynomial.variable(3, 0), 0.1, exact_mul=True)
+        approximate_polynomial(G, Polynomial.variable(3, 0), 0.1, gadget="exact")
 
 
 def test_approximate_exact_s3_power_sum():
     G = symmetric(3)
     p = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    net, report = approximate_polynomial(G, p, 0.05, exact_mul=True,
+    net, report = approximate_polynomial(G, p, 0.05, gadget="exact",
                                          eval_points=500)
     assert report.achieved_max_error <= 1e-10
     assert report.alpha_l1 == pytest.approx(1.0)
@@ -741,7 +821,7 @@ def test_approximate_trained_budget_and_invariance():
     p = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0,
                        (0, 0, 0): 0.5})
     net, report = approximate_polynomial(G, p, 0.05, cfg=TrainConfig(seed=0),
-                                         eval_points=2000)
+                                         gadget="trained", eval_points=2000)
     assert report.achieved_max_error <= 0.05
     assert report.achieved_max_error <= report.theoretical_bound + 1e-12
     assert report.theoretical_bound <= 0.05 + 1e-12
@@ -752,12 +832,38 @@ def test_approximate_trained_budget_and_invariance():
     assert max_invariance_deviation(net, rng, trials=50) <= 1e-9
 
 
+def test_approximate_constructive_within_proven_bounds():
+    # the approx benchmark's polynomials at epsilon 1e-6 with the default
+    # gadgets: D7 over its 13 classes of degree 1..3, S7 a constant and its
+    # 3 classes of degree 1 and 2; achieved <= class_bound <=
+    # theoretical_bound <= epsilon
+    rng = SplitMix64(61)
+    cases = []
+    for G, degrees, constant in ((dihedral(7), (1, 2, 3), 0.0), (symmetric(7), (1, 2), 0.1)):
+        p = Polynomial.constant(7, constant)
+        for k in degrees:
+            for b in basis_polynomials(G, k):
+                p = p + b.polynomial.scale(rng.uniform(-1, 1))
+        cases.append((G, p, sum(len(basis_polynomials(G, k)) for k in degrees)))
+    assert [terms for _G, _p, terms in cases] == [13, 3]
+    for G, p, terms in cases:
+        _net, report = approximate_polynomial(G, p, 1e-6, eval_points=2000)
+        assert len(report.terms) == terms
+        assert report.achieved_max_error <= report.class_bound
+        assert report.class_bound <= report.theoretical_bound <= 1e-6
+        for term in report.terms:
+            size = poly_classes(G, term["degree"]).sizes()[term["class_index"]]
+            assert term["class_error_budget"] == abs(term["alpha"]) * size * term["training_error"]
+            assert term["gadget"]["kind"] == ("exact" if term["degree"] == 1 else "constructive")
+            assert term["gadget"].get("epochs", 0) == 0
+
+
 def test_approximate_deterministic_reports():
     G = cyclic(4)
     p = Polynomial(4, {(1, 1, 0, 0): 1.0, (0, 1, 1, 0): 1.0,
                        (0, 0, 1, 1): 1.0, (1, 0, 0, 1): 1.0})
     runs = [asdict(approximate_polynomial(G, p, 0.05, cfg=TrainConfig(seed=4),
-                                          eval_points=500)[1])
+                                          gadget="trained", eval_points=500)[1])
             for _ in range(2)]
     assert runs[0] == runs[1]
 
@@ -769,7 +875,7 @@ def test_approximate_exact_three_orders_mixed():
     ring = {(1, 1, 0): 2.0, (0, 1, 1): 2.0, (1, 0, 1): 2.0}
     linear = {tuple(1 if j == i else 0 for j in range(3)): 0.5 for i in range(3)}
     p = Polynomial(3, {**cubes, **ring, **linear, (0, 0, 0): 3.0})
-    net, report = approximate_polynomial(G, p, 0.05, exact_mul=True,
+    net, report = approximate_polynomial(G, p, 0.05, gadget="exact",
                                          eval_points=500)
     assert net.order == 3
     assert report.achieved_max_error <= 1e-10
@@ -795,7 +901,7 @@ def test_approximate_computes_each_partition_once_per_degree(monkeypatch):
 
     monkeypatch.setattr(ginet.net, "poly_classes", counted)
     monkeypatch.setattr(ginet.polybasis, "poly_classes", counted)
-    _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    _net, report = approximate_polynomial(G, p, 0.05, gadget="exact", eval_points=50)
     assert len(report.terms) == len(terms) == 7
     assert sorted(calls) == [1, 2, 3]
     assert report.achieved_max_error <= 1e-10
@@ -819,7 +925,7 @@ def test_approximate_builds_multisets_once_per_degree(monkeypatch):
         return rows(n, k)
 
     monkeypatch.setattr(ginet.orbits, "_nondecreasing_rows", counted)
-    _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    _net, report = approximate_polynomial(G, p, 0.05, gadget="exact", eval_points=50)
     assert len(report.terms) == 13
     assert sorted(calls) == [1, 2, 3]
 
@@ -834,10 +940,10 @@ def test_approximate_builds_no_tuple_view():
     for k in (1, 2, 3):
         for b in basis_polynomials(G, k):
             p = p + b.polynomial
-    _net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    _net, report = approximate_polynomial(G, p, 0.05, gadget="exact", eval_points=50)
     assert len(report.terms) == 13 and report.achieved_max_error <= 1e-10
     _net, report = approximate_polynomial(alternating(5), vandermonde(5), 1e-6,
-                                          exact_mul=True, eval_points=50)
+                                          gadget="exact", eval_points=50)
     assert len(report.terms) == 2 and report.achieved_max_error <= 1e-10
 
 
@@ -859,7 +965,7 @@ def test_approximate_builds_no_layer_partition(monkeypatch):
 
     monkeypatch.setattr(ginet.equivlayers, "layer_classes", counted)
     for target in (p, Polynomial.constant(7, 2.0)):
-        net, report = approximate_polynomial(G, target, 0.05, exact_mul=True,
+        net, report = approximate_polynomial(G, target, 0.05, gadget="exact",
                                              eval_points=50)
         assert report.achieved_max_error <= 1e-10
     assert calls == []
@@ -895,7 +1001,7 @@ def test_class_sums_match_reference_exact_d7():
     for k in (1, 2, 3):
         for b in basis_polynomials(G, k):
             p = p + b.polynomial.scale(rng.uniform(-1, 1))
-    net, report = approximate_polynomial(G, p, 0.05, exact_mul=True, eval_points=50)
+    net, report = approximate_polynomial(G, p, 0.05, gadget="exact", eval_points=50)
     partitions = {k: poly_classes(G, k) for k in (1, 2, 3)}
     spec = [(t["alpha"], partitions[t["degree"]], t["class_index"],
              ExactProduct(t["degree"])) for t in report.terms]
@@ -945,7 +1051,7 @@ def test_forward_many_empty_batch():
     P = poly_classes(G, 2)
     term = build_term_network(G, P, 1, ExactProduct(2))
     approx, _ = approximate_polynomial(
-        G, basis_polynomials(G, 2, partition=P)[1].polynomial, 0.05, exact_mul=True)
+        G, basis_polynomials(G, 2, partition=P)[1].polynomial, 0.05, gadget="exact")
     for net in (term, build_unified([(0.5, term)], 1.0), constant_network(G, 2.0), approx):
         out = net.forward_many(np.zeros((0, 4)))
         assert out.shape == net.forward(np.zeros((0, 4))).shape == (0,)
@@ -1059,7 +1165,8 @@ def _gather_gadgets():
     tree = TreeProduct(4, [[("pair", pair), ("pair", _random_product_net(2, 72))],
                            [("pair", pair)]], 1.0, 0.0)
     return {"mlp-2": pair, "mlp-3": _random_product_net(3, 74), "tree-4": tree,
-            **{f"exact-{k}": ExactProduct(k) for k in (1, 2, 3, 4)}}
+            **{f"exact-{k}": ExactProduct(k) for k in (1, 2, 3, 4)},
+            **{f"constructive-{k}": constructive_product(k, 1.0, 1e-3) for k in (2, 3, 4)}}
 
 
 def _cycle_group(n, length):
@@ -1091,7 +1198,8 @@ def _gather_classes(k):
 
 @pytest.mark.parametrize("B", [0, 1, 23, 128, 2048, 2049])
 @pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "tree-4", "exact-1", "exact-2",
-                                  "exact-3", "exact-4"])
+                                  "exact-3", "exact-4", "constructive-2", "constructive-3",
+                                  "constructive-4"])
 def test_class_rows_match_materialised_rows(name, B):
     gadget = _gather_gadgets()[name]
     classes = _gather_classes(gadget.k)
@@ -1114,7 +1222,8 @@ _TUPLE_ORACLE_GROUPS = {1: (cyclic(5), dihedral(6), symmetric(4)),
 
 @pytest.mark.parametrize("B", [0, 1, 2048, 2049])
 @pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "tree-4", "exact-1", "exact-2",
-                                  "exact-3", "exact-4"])
+                                  "exact-3", "exact-4", "constructive-2", "constructive-3",
+                                  "constructive-4"])
 def test_multiset_class_sums_match_tuple_sums_named_groups(name, B):
     gadget = _gather_gadgets()[name]
     for G in _TUPLE_ORACLE_GROUPS[gadget.k]:
@@ -1125,7 +1234,8 @@ def test_multiset_class_sums_match_tuple_sums_named_groups(name, B):
 
 @settings(max_examples=25, deadline=None)
 @given(_groups(), st.sampled_from(["mlp-2", "mlp-3", "tree-4",
-                                   "exact-1", "exact-2", "exact-3", "exact-4"]),
+                                   "exact-1", "exact-2", "exact-3", "exact-4",
+                                   "constructive-2", "constructive-3", "constructive-4"]),
        st.sampled_from([0, 1, 2048, 2049]), st.integers(0, 2**32 - 1))
 def test_multiset_class_sums_match_tuple_sums_random_groups(G, name, B, seed):
     gadget = _gather_gadgets()[name]
@@ -1142,7 +1252,8 @@ def _trained_gadgets():
 
 @pytest.mark.parametrize("name", ["mlp-2", "mlp-3", "tree-4", "exact-1",
                                   "exact-2", "exact-3", "exact-4", "exact-6",
-                                  "trained-2", "trained-3", "trained-4"])
+                                  "trained-2", "trained-3", "trained-4",
+                                  "constructive-2", "constructive-3", "constructive-4"])
 def test_gadgets_same_bits_for_every_column_order(name):
     gadgets = {**_gather_gadgets(), **_trained_gadgets(), "exact-6": ExactProduct(6)}
     gadget = gadgets[name]
@@ -1193,24 +1304,25 @@ def test_class_sum_rows_one_per_multiset():
         assert sum(len(digits) - 1 for digits, *_ in stage.terms) == math.comb(G.n + k - 1, k)
 
 
-@pytest.mark.parametrize("exact_mul", [False, True])
-def test_approximate_checks_class_sum_memory_before_training(monkeypatch, exact_mul):
+@pytest.mark.parametrize("gadget", ["constructive", "trained", "exact"])
+def test_approximate_checks_class_sum_memory_before_training(monkeypatch, gadget):
     # the poly_classes estimate (a few kB) fits, the class sums' (their
     # 2048 x 4 outputs and a block buffer) do not
     import ginet.orbits
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("a gadget trained before the class-sum memory check")
+    def no_building(*args, **kwargs):
+        raise AssertionError("a gadget was built before the class-sum memory check")
 
-    monkeypatch.setattr(ginet.net, "train_product_mlp", no_training)
+    monkeypatch.setattr(ginet.net, "train_product_mlp", no_building)
+    monkeypatch.setattr(ginet.net, "constructive_product", no_building)
     monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", 100_000)
     G = symmetric(3)
     p = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
     with pytest.raises(CapExceededError, match="the class sums of 1 terms on 2048 points "
                                                "would take an estimated"):
-        approximate_polynomial(G, p, 0.1, exact_mul=exact_mul)
+        approximate_polynomial(G, p, 0.1, gadget=gadget)
     monkeypatch.setattr(ginet.orbits, "_PHYSICAL_MEMORY", None)
-    _net, report = approximate_polynomial(G, p, 0.1, exact_mul=True, eval_points=10)
+    _net, report = approximate_polynomial(G, p, 0.1, gadget="exact", eval_points=10)
     assert report.achieved_max_error <= 1e-12
 
 
@@ -1253,28 +1365,29 @@ def test_fit_output_layer_memory():
 
 
 def test_forward_many_memory_s7():
-    # the S7 network of the approx benchmark's trained job: gadgets for
+    # the S7 network of the approx benchmark's second job: gadgets for
     # degrees 1 and 2 run on 2048 points x 38 rows, 30 of them through the
     # degree-2 MLP (51 when it ran once per tuple); one call over all rows
-    # held about 130 MB of (rows, 64) activations at once
+    # held about 130 MB of (rows, 64) activations of the trained net at once
     G = symmetric(7)
     rng = SplitMix64(42)
     p = Polynomial.constant(7, 0.1)
     for k in (1, 2):
         for b in basis_polynomials(G, k):
             p = p + b.polynomial.scale(rng.uniform(-0.3, 0.3))
-    net, report = approximate_polynomial(G, p, 0.1, eval_points=0)
-    assert [t["degree"] for t in report.terms] == [1, 2, 2]
-    assert {t["gadget"]["kind"] for t in report.terms} == {"exact", "mlp"}
     X = SplitMix64(43).uniforms(-1, 1, 2048, 7)
-    tracemalloc.start()
-    try:
-        out = net.forward_many(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (2048,)
-    assert peak < 16 * 2**20
+    for gadget, kind in (("trained", "mlp"), ("constructive", "constructive")):
+        net, report = approximate_polynomial(G, p, 0.1, gadget=gadget, eval_points=0)
+        assert [t["degree"] for t in report.terms] == [1, 2, 2]
+        assert {t["gadget"]["kind"] for t in report.terms} == {"exact", kind}
+        tracemalloc.start()
+        try:
+            out = net.forward_many(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2048,)
+        assert peak < 16 * 2**20
 
 
 def test_approximate_exact_more_groups():
@@ -1287,7 +1400,7 @@ def test_approximate_exact_more_groups():
                                tuple(1 if j == 0 else 0
                                      for j in range(G.n)): -0.5})
         p = reynolds(raw, G)
-        net, report = approximate_polynomial(G, p, 0.05, exact_mul=True,
+        net, report = approximate_polynomial(G, p, 0.05, gadget="exact",
                                              eval_points=300)
         assert report.achieved_max_error <= 1e-10
         assert max_invariance_deviation(net, rng, trials=20) <= 1e-9
